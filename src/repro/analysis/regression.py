@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -219,19 +220,29 @@ def compare(
 def render_deltas(
     name: str, deltas: list[MetricDelta], tolerance: float
 ) -> str:
-    """One aligned table per payload."""
+    """One aligned table per payload.
+
+    ``change`` is the signed move of the value itself,
+    ``(current - baseline) / baseline``: a throughput drop prints
+    negative, a latency rise positive, whichever way is worse.  ``tol``
+    is the effective gate for the row (``tolerance * tolerance_scale``).
+    """
     width = max((len(d.name) for d in deltas), default=6)
     lines = [f"{name} (tolerance {tolerance:.0%}):"]
     lines.append(
         f"  {'metric'.ljust(width)}  {'baseline':>12}  {'current':>12}"
-        f"  {'change':>8}  status"
+        f"  {'change':>8}  {'tol':>5}  status"
     )
     for d in deltas:
-        sign = "+" if d.regression >= 0 else ""
+        if d.baseline == 0.0:
+            change = math.copysign(math.inf, d.current) if d.current else 0.0
+        else:
+            change = (d.current - d.baseline) / d.baseline
         lines.append(
             f"  {d.name.ljust(width)}  {d.baseline:>12.1f}"
             f"  {d.current:>12.1f}"
-            f"  {sign}{100.0 * d.regression:6.1f}%"
+            f"  {100.0 * change:+7.1f}%"
+            f"  {tolerance * d.tolerance_scale:>5.0%}"
             f"  {d.status(tolerance)}"
         )
     return "\n".join(lines)

@@ -1,21 +1,23 @@
 """Batched fault-service scheduling per (manager, node).
 
 Admitted references queue here instead of trapping one by one; on each
-flush the scheduler walks the queues in sorted key order and, per batch,
-pre-refills the owning manager's frame stock with **one** SPCM request
-sized to the batch --- which the sharded SPCM turns into one batched
-``MigratePages`` kernel entry
+flush the scheduler walks the queues that got work in sorted key order
+and, per batch, pre-refills the owning manager's frame stock with **one**
+SPCM request sized to the batch --- which the sharded SPCM turns into one
+batched ``MigratePages`` kernel entry
 (:class:`~repro.core.api.BatchMigratePagesRequest`, full entry cost once,
 marginal cost per further run) --- then drives the queued references under
 :meth:`~repro.core.kernel.Kernel.attribute_tenant` so the shared fault
-pipeline is billed per tenant.  A request's reported latency is its queue
-wait (engine time) plus the metered cost of its own service.
+pipeline is billed per tenant.  A tenant already at its frame quota is not
+asked: the SPCM's quota clamp would grant it nothing (S2.4 defer), so the
+batch goes straight to the references and the tenant's manager recycles
+its own residents.  A request's reported latency is its queue wait
+(engine time) plus the metered cost of its own service.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
@@ -24,15 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import Kernel
     from repro.serve.tenants import TenantSession
 
-
-@dataclass(frozen=True, slots=True)
-class QueuedRequest:
-    """One admitted reference waiting for the next flush."""
-
-    session: "TenantSession"
-    vaddr: int
-    write: bool
-    t_submit_us: float
+#: one admitted reference waiting for the next flush:
+#: (session, vaddr, write, t_submit_us)
+Queued = tuple["TenantSession", int, bool, float]
 
 
 class BatchScheduler:
@@ -40,9 +36,10 @@ class BatchScheduler:
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        # (manager name, home node) -> FIFO of queued requests; walked in
-        # sorted key order at flush so the service order is deterministic
-        self._queues: dict[tuple[str, int], list[QueuedRequest]] = {}
+        # (manager name, home node) -> FIFO of queued requests, holding
+        # only the keys with work; walked in sorted key order at flush so
+        # the service order is deterministic
+        self._queues: dict[tuple[str, int], list[Queued]] = {}
         self.backlog = 0
         self.batches_flushed = 0
         self.items_serviced = 0
@@ -58,7 +55,7 @@ class BatchScheduler:
         """Queue one admitted reference for the next flush."""
         key = (session.manager.name, session.home_node)
         self._queues.setdefault(key, []).append(
-            QueuedRequest(session, vaddr, write, t_submit_us)
+            (session, vaddr, write, t_submit_us)
         )
         self.backlog += 1
 
@@ -73,42 +70,44 @@ class BatchScheduler:
         ``on_serviced(session, latency_us, ok)`` fires per request with
         the queue wait + metered service latency; ``ok`` is False when
         the reference raised (the error is counted, not propagated ---
-        one tenant's out-of-frames must not stall the batch).
+        one tenant's out-of-frames must not stall the batch).  Should
+        anything else escape, the batches not yet reached stay queued.
         """
-        if self.backlog == 0:
+        queues = self._queues
+        if not queues:
             return 0
         kernel = self.kernel
         meter = kernel.meter
+        attribute_tenant = kernel.attribute_tenant
+        reference = kernel.reference
         serviced = 0
-        for key in sorted(self._queues):
-            items = self._queues[key]
-            if not items:
-                continue
-            self._queues[key] = []
+        for key in sorted(queues):
+            items = queues.pop(key)
             self.backlog -= len(items)
             self.batches_flushed += 1
-            manager = items[0].session.manager
+            manager = items[0][0].manager
             # one batched refill for the whole batch: the SPCM turns this
             # into a single BatchMigratePagesRequest kernel entry instead
-            # of per-fault refill churn inside each reference below
+            # of per-fault refill churn inside each reference below ---
+            # unless the tenant is at its quota, where the SPCM's clamp
+            # would defer it for nothing
             missing = len(items) - manager.free_frames
             if missing > 0:
-                manager.request_frames(missing)
-            for item in items:
-                session = item.session
+                spcm = manager.spcm
+                account = spcm.account_of(manager)
+                quota = spcm.arbiter.quota_of(account)
+                if quota is None or spcm.held_by(account) < quota:
+                    manager.request_frames(missing)
+            for session, vaddr, write, t_submit_us in items:
                 before = meter.total_us
                 ok = True
                 try:
-                    with kernel.attribute_tenant(session.tenant):
-                        kernel.reference(
-                            session.segment, item.vaddr, item.write
-                        )
+                    with attribute_tenant(session.tenant):
+                        reference(session.segment, vaddr, write)
                 except ReproError:
                     ok = False
                     self.errors += 1
-                latency = (now_us - item.t_submit_us) + (
-                    meter.total_us - before
-                )
+                latency = (now_us - t_submit_us) + (meter.total_us - before)
                 serviced += 1
                 self.items_serviced += 1
                 if on_serviced is not None:

@@ -15,6 +15,7 @@ from repro.analysis.regression import (
     extract_metrics,
     load_payload,
     main,
+    render_deltas,
 )
 
 TABLE1 = {
@@ -213,6 +214,48 @@ class TestFaultPathMicro:
         deltas2 = compare(MICRO, current2, "m")
         by2 = {d.name: d for d in deltas2}
         assert by2["allocations (blocks/fault)"].status(0.15) == "ok"
+
+
+class TestRenderedChange:
+    """The ``change`` column is the signed move of the value itself."""
+
+    @staticmethod
+    def _row(table: str, metric: str) -> list[str]:
+        line = next(ln for ln in table.splitlines() if metric in ln)
+        return line[line.index(metric) + len(metric):].split()
+
+    def test_throughput_drop_renders_negative(self):
+        current = json.loads(json.dumps(MICRO))
+        current["throughput"]["faults_per_sec"] *= 0.493
+        table = render_deltas("m", compare(MICRO, current, "m"), 0.15)
+        _base, _cur, change, tol, status = self._row(
+            table, "throughput (faults/s)"
+        )
+        assert change == "-50.7%"
+        # the ok comes from the 5x wall-clock scale, and the row says so
+        assert tol == "75%"
+        assert status == "ok"
+
+    def test_latency_rise_renders_positive(self):
+        current = json.loads(json.dumps(SERVE))
+        current["results"][1]["tenant_p99_us_worst"] *= 1.5
+        table = render_deltas("s", compare(SERVE, current, "s"), 0.15)
+        _base, _cur, change, tol, status = self._row(
+            table, "8-tenant worst p99 (us)"
+        )
+        assert change == "+50.0%"
+        assert tol == "15%"
+        assert status == "REGRESSED"
+
+    def test_throughput_rise_renders_positive_and_improved(self):
+        current = json.loads(json.dumps(NUMA))
+        current["results"][0]["throughput_faults_per_s"] *= 1.25
+        table = render_deltas("n", compare(NUMA, current, "n"), 0.15)
+        _base, _cur, change, _tol, status = self._row(
+            table, "1-node throughput (faults/s)"
+        )
+        assert change == "+25.0%"
+        assert status == "improved"
 
 
 class TestCliExitCodes:

@@ -201,6 +201,141 @@ class TestBatchScheduler:
         assert session.latency.percentile(50) >= 500.0
 
 
+    def test_at_quota_flush_skips_the_doomed_pre_refill(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 1, working_set_pages=8, quota_frames=4)
+        session = serving.sessions["tenant-0"]
+        spcm = system.spcm
+        page = session.segment.page_size
+        for i in range(4):
+            serving.submit(session, i * page, False)
+        serving.flush()
+        assert spcm.held_by(session.account) == 4
+        assert session.manager.free_frames == 0
+        deferred = spcm.deferred_requests
+        quota_deferrals = spcm.quota_deferrals
+        calls = []
+        original = spcm.request_frames
+
+        def spy(manager, request, dst_segment):
+            calls.append(request.n_frames)
+            return original(manager, request, dst_segment)
+
+        spcm.request_frames = spy
+        try:
+            # the same four pages again: resident, so nothing faults, and
+            # the at-quota tenant is not asked for a pre-refill either
+            for i in range(4):
+                serving.submit(session, i * page, True)
+            assert serving.flush() == 4
+        finally:
+            del spcm.request_frames
+        assert calls == []
+        assert spcm.deferred_requests == deferred
+        assert spcm.quota_deferrals == quota_deferrals
+        assert session.service_errors == 0
+
+    def test_below_quota_flush_pre_refills_the_whole_batch(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 1, working_set_pages=8, quota_frames=16)
+        session = serving.sessions["tenant-0"]
+        spcm = system.spcm
+        sizes = []
+        original = spcm.request_frames
+
+        def spy(manager, request, dst_segment):
+            sizes.append(request.n_frames)
+            return original(manager, request, dst_segment)
+
+        spcm.request_frames = spy
+        try:
+            page = session.segment.page_size
+            for i in range(6):
+                serving.submit(session, i * page, False)
+            serving.flush()
+        finally:
+            del spcm.request_frames
+        # one request sized to the batch, granted in full below the cap
+        assert sizes[0] == 6
+        assert spcm.held_by(session.account) >= 6
+        assert session.serviced == 6
+
+    def test_unexpected_error_leaves_unreached_batches_queued(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 2, working_set_pages=8, quota_frames=16)
+        a = serving.sessions["tenant-0"]
+        b = serving.sessions["tenant-1"]
+        page = a.segment.page_size
+        for i in range(3):
+            serving.submit(a, i * page, False)
+            serving.submit(b, i * page, False)
+        kernel = system.kernel
+
+        def boom(segment, vaddr, write=False):
+            raise RuntimeError("not a ReproError")
+
+        kernel.reference = boom
+        try:
+            with pytest.raises(RuntimeError):
+                serving.flush()
+        finally:
+            del kernel.reference
+        scheduler = serving.scheduler
+        # tenant-0's batch (first in key order) was taken when it raised;
+        # tenant-1's batch was never reached and is still queued
+        assert scheduler.backlog == 3
+        assert scheduler.batches_flushed == 1
+        assert scheduler.items_serviced == 0
+        assert serving.flush() == 3
+        assert b.serviced == 3
+        assert a.serviced == 0
+        assert scheduler.backlog == 0
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["grant", "return", "quota"]),
+            st.integers(min_value=0, max_value=24),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_at_quota_request_grants_nothing(ops):
+    """The scheduler's skip rule matches the SPCM clamp: whenever
+    ``held_by(account) >= quota``, ``request_frames`` returns 0 and
+    grants nothing, so skipping that pre-refill changes no grant."""
+    system, serving = build_serving()
+    admit_fleet(serving, 1, working_set_pages=8)
+    manager = serving.sessions["tenant-0"].manager
+    spcm = system.spcm
+    account = spcm.account_of(manager)
+    for op, n in ops:
+        if op == "quota":
+            spcm.set_tenant_quota(TenantQuota(account, frames=n))
+        elif op == "return":
+            manager.return_frames(n)
+        elif n > 0:
+            quota = spcm.arbiter.quota_of(account)
+            held = spcm.held_by(account)
+            granted_before = spcm.granted_frames
+            free_before = manager.free_frames
+            got = manager.request_frames(n)
+            if quota is not None and held >= quota:
+                assert got == 0
+                assert spcm.held_by(account) == held
+                assert spcm.granted_frames == granted_before
+                assert manager.free_frames == free_before
+            else:
+                assert spcm.held_by(account) == held + got
+
+
 # ---------------------------------------------------------------------------
 # the typed AdmitTenant entry
 # ---------------------------------------------------------------------------
