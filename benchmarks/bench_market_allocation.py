@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.api import FrameDemand
 from repro.core.kernel import Kernel
 from repro.hw.phys_mem import PhysicalMemory
 from repro.managers.base import GenericSegmentManager
@@ -58,7 +59,7 @@ def market_rounds(market, spcm, managers, rounds=200):
         spcm.advance_market(now)
         for manager in managers:
             if market.is_broke(manager.account):
-                manager.release_frames(manager.total_frames)
+                manager.release_frames(FrameDemand(manager.total_frames))
                 continue
             shortfall = WANT_FRAMES - manager.total_frames
             if shortfall > 0:

@@ -1,14 +1,14 @@
-"""The versioned, typed kernel API facade (v2).
+"""The versioned, typed kernel API (v3).
 
-The paper's four external page-cache management operations (S2.1) were
-originally exposed as keyword-argument methods on :class:`~repro.core.kernel.Kernel`.
-This module is the canonical call surface from API v2 on: each primitive
-takes a frozen *request* dataclass and returns a frozen *result*
-dataclass, so the call forms are versionable, serializable (for IPC-style
-manager processes) and carry the NUMA placement hints and batch statistics
-the sharded System Page Cache Manager needs.
+The paper's four external page-cache management operations (S2.1) are
+methods on :class:`~repro.core.kernel.Kernel`, each with exactly one call
+form: it takes a frozen *request* dataclass from this module and returns
+a frozen *result* dataclass.  The requests carry the NUMA placement hints
+and the results the batch statistics the sharded System Page Cache
+Manager needs.
 
 * :class:`MigratePagesRequest` / :class:`MigratePagesResult`
+* :class:`BatchMigratePagesRequest` / :class:`BatchMigratePagesResult`
 * :class:`ModifyPageFlagsRequest` / :class:`ModifyPageFlagsResult`
 * :class:`GetPageAttributesRequest` / :class:`GetPageAttributesResult`
 * :class:`SetSegmentManagerRequest` / :class:`SetSegmentManagerResult`
@@ -18,74 +18,20 @@ manager for frames with a :class:`FrameDemand` and frames change hands as
 a :class:`FrameGrant`, whichever direction they travel (release, seizure,
 adoption).
 
-The old keyword-argument call forms keep working through deprecation
-shims on the kernel; each shim emits one :class:`DeprecationWarning` per
-process (per operation) and will be removed one release after v2.
-
-Requests reference segments by id (``Segment`` instances are accepted and
-coerced), so every request/result round-trips through
-:meth:`to_payload` / :meth:`from_payload` --- the property the facade
-tests assert.
+Requests reference segments by id; ``Segment`` instances are accepted and
+coerced, and integer flag masks are coerced to :class:`PageFlags`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from dataclasses import dataclass, field
+from typing import Any
 
 from repro.core.flags import PageFlags
 
-#: Facade version: (major, minor).  Major bumps may drop deprecated call
-#: forms; the keyword shims introduced alongside v2 last exactly one
-#: release.  v2.1 adds the multi-tenant serving vocabulary:
-#: :class:`BatchMigratePagesRequest` / :class:`BatchMigratePagesResult`
-#: (the batched kernel entry becomes a typed, serializable form),
-#: :class:`AdmitTenantRequest` / :class:`AdmitTenantResult`,
-#: :class:`TenantQuota`, and :class:`RetryAfter` (the typed shed).
-API_VERSION = (2, 1)
-
-
-# ---------------------------------------------------------------------------
-# deprecation machinery for the legacy keyword call forms
-# ---------------------------------------------------------------------------
-
-_WARNED_OPS: set[str] = set()
-
-_REQUEST_CLASS_FOR_OP = {
-    "Kernel.migrate_pages": "MigratePagesRequest",
-    "Kernel.migrate_pages_batch": "BatchMigratePagesRequest",
-    "Kernel.modify_page_flags": "ModifyPageFlagsRequest",
-    "Kernel.get_page_attributes": "GetPageAttributesRequest",
-    "Kernel.set_segment_manager": "SetSegmentManagerRequest",
-    "SegmentManager.release_frames": "FrameDemand",
-    "SegmentManager.on_frames_seized": "FrameGrant",
-}
-
-
-def warn_legacy_call(op: str) -> None:
-    """Emit the one-release deprecation warning for a legacy call form.
-
-    Each operation warns exactly once per process so hot fault paths do
-    not drown the warning filter; tests reset with
-    :func:`reset_legacy_warnings`.
-    """
-    if op in _WARNED_OPS:
-        return
-    _WARNED_OPS.add(op)
-    replacement = _REQUEST_CLASS_FOR_OP.get(op, "request dataclass")
-    warnings.warn(
-        f"{op}: keyword-argument call form is deprecated since API v2 "
-        f"and will be removed next release; pass a "
-        f"repro.core.api.{replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which legacy call forms already warned (test support)."""
-    _WARNED_OPS.clear()
+#: Facade version: (major, minor).  The major number moves when a call
+#: form changes or goes; the minor when request/result types are added.
+API_VERSION = (3, 0)
 
 
 def _seg_id(value: Any) -> int:
@@ -97,7 +43,7 @@ def _seg_id(value: Any) -> int:
 
 
 # ---------------------------------------------------------------------------
-# page attributes (the GetPageAttributes payload element)
+# page attributes (the GetPageAttributes result element)
 # ---------------------------------------------------------------------------
 
 
@@ -110,26 +56,6 @@ class PageAttribute:
     flags: PageFlags
     pfn: int | None
     phys_addr: int | None
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "page": self.page,
-            "present": self.present,
-            "flags": int(self.flags),
-            "pfn": self.pfn,
-            "phys_addr": self.phys_addr,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "PageAttribute":
-        return cls(
-            page=payload["page"],
-            present=payload["present"],
-            flags=PageFlags(payload["flags"]),
-            pfn=payload["pfn"],
-            phys_addr=payload["phys_addr"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +78,6 @@ class BatchStats:
     cow_copies: int = 0
     local_pages: int = 0
     remote_pages: int = 0
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "BatchStats":
-        return cls(**payload)
 
     def merged(self, other: "BatchStats") -> "BatchStats":
         """Combine statistics of two batches into one."""
@@ -211,32 +129,6 @@ class MigratePagesRequest:
                 self, "clear_flags", PageFlags(self.clear_flags)
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "src_page": self.src_page,
-            "dst_page": self.dst_page,
-            "n_pages": self.n_pages,
-            "set_flags": int(self.set_flags),
-            "clear_flags": int(self.clear_flags),
-            "home_node": self.home_node,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MigratePagesRequest":
-        return cls(
-            src=payload["src"],
-            dst=payload["dst"],
-            src_page=payload["src_page"],
-            dst_page=payload["dst_page"],
-            n_pages=payload["n_pages"],
-            set_flags=PageFlags(payload["set_flags"]),
-            clear_flags=PageFlags(payload["clear_flags"]),
-            home_node=payload["home_node"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class MigratePagesResult:
@@ -248,20 +140,6 @@ class MigratePagesResult:
     @property
     def n_pages(self) -> int:
         return len(self.moved_pfns)
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "moved_pfns": list(self.moved_pfns),
-            "batch": self.batch.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MigratePagesResult":
-        return cls(
-            moved_pfns=tuple(payload["moved_pfns"]),
-            batch=BatchStats.from_payload(payload["batch"]),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,21 +167,6 @@ class BatchMigratePagesRequest:
     def n_pages(self) -> int:
         return sum(r.n_pages for r in self.requests)
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"requests": [r.to_payload() for r in self.requests]}
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "BatchMigratePagesRequest":
-        return cls(
-            requests=tuple(
-                MigratePagesRequest.from_payload(r)
-                for r in payload["requests"]
-            )
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class BatchMigratePagesResult:
@@ -316,24 +179,6 @@ class BatchMigratePagesResult:
     @property
     def n_pages(self) -> int:
         return len(self.moved_pfns)
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "moved_pfns": list(self.moved_pfns),
-            "batch": self.batch.to_payload(),
-            "n_requests": self.n_requests,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "BatchMigratePagesResult":
-        return cls(
-            moved_pfns=tuple(payload["moved_pfns"]),
-            batch=BatchStats.from_payload(payload["batch"]),
-            n_requests=payload["n_requests"],
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,40 +201,12 @@ class ModifyPageFlagsRequest:
                 self, "clear_flags", PageFlags(self.clear_flags)
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "segment": self.segment,
-            "page": self.page,
-            "n_pages": self.n_pages,
-            "set_flags": int(self.set_flags),
-            "clear_flags": int(self.clear_flags),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ModifyPageFlagsRequest":
-        return cls(
-            segment=payload["segment"],
-            page=payload["page"],
-            n_pages=payload["n_pages"],
-            set_flags=PageFlags(payload["set_flags"]),
-            clear_flags=PageFlags(payload["clear_flags"]),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class ModifyPageFlagsResult:
     """How many present pages one ``ModifyPageFlags`` touched."""
 
     modified: int
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"modified": self.modified}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ModifyPageFlagsResult":
-        return cls(modified=payload["modified"])
 
 
 @dataclass(frozen=True)
@@ -403,24 +220,6 @@ class GetPageAttributesRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment", _seg_id(self.segment))
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "segment": self.segment,
-            "page": self.page,
-            "n_pages": self.n_pages,
-        }
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "GetPageAttributesRequest":
-        return cls(
-            segment=payload["segment"],
-            page=payload["page"],
-            n_pages=payload["n_pages"],
-        )
-
 
 @dataclass(frozen=True)
 class GetPageAttributesResult:
@@ -428,29 +227,10 @@ class GetPageAttributesResult:
 
     attributes: tuple[PageAttribute, ...]
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"attributes": [a.to_payload() for a in self.attributes]}
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "GetPageAttributesResult":
-        return cls(
-            attributes=tuple(
-                PageAttribute.from_payload(a) for a in payload["attributes"]
-            )
-        )
-
 
 @dataclass(frozen=True)
 class SetSegmentManagerRequest:
-    """``SetSegmentManager(seg, manager)``.
-
-    ``manager`` is the live manager object; the payload form carries its
-    name, and :meth:`from_payload` takes a resolver because manager
-    processes are addressed by name on the wire.
-    """
+    """``SetSegmentManager(seg, manager)``; ``manager`` is the live object."""
 
     segment: int
     manager: Any
@@ -458,37 +238,12 @@ class SetSegmentManagerRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "segment", _seg_id(self.segment))
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"segment": self.segment, "manager": self.manager.name}
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: dict[str, Any],
-        resolve_manager: Callable[[str], Any],
-    ) -> "SetSegmentManagerRequest":
-        return cls(
-            segment=payload["segment"],
-            manager=resolve_manager(payload["manager"]),
-        )
-
 
 @dataclass(frozen=True)
 class SetSegmentManagerResult:
     """The manager the segment had before (by name; None if unmanaged)."""
 
     previous_manager: str | None
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"previous_manager": self.previous_manager}
-
-    @classmethod
-    def from_payload(
-        cls, payload: dict[str, Any]
-    ) -> "SetSegmentManagerResult":
-        return cls(previous_manager=payload["previous_manager"])
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +257,7 @@ class RetryAfter:
 
     ``retry_after_us`` is simulated microseconds from the shed; every
     shed the admission controller issues carries one, so backpressure is
-    a first-class, serializable signal rather than a bare refusal.
+    a first-class, typed signal rather than a bare refusal.
     """
 
     tenant: str
@@ -514,18 +269,6 @@ class RetryAfter:
             raise ValueError(
                 f"retry_after_us must be non-negative: {self.retry_after_us}"
             )
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "tenant": self.tenant,
-            "retry_after_us": self.retry_after_us,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "RetryAfter":
-        return cls(**payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -550,18 +293,6 @@ class TenantQuota:
         if self.dram_mb is not None and self.dram_mb < 0:
             raise ValueError(f"dram_mb quota must be >= 0: {self.dram_mb}")
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "account": self.account,
-            "frames": self.frames,
-            "dram_mb": self.dram_mb,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TenantQuota":
-        return cls(**payload)
-
 
 @dataclass(frozen=True, slots=True)
 class AdmitTenantRequest:
@@ -585,25 +316,6 @@ class AdmitTenantRequest:
                 f"working_set_pages must be positive: {self.working_set_pages}"
             )
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "tenant": self.tenant,
-            "home_node": self.home_node,
-            "working_set_pages": self.working_set_pages,
-            "quota": None if self.quota is None else self.quota.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "AdmitTenantRequest":
-        quota = payload["quota"]
-        return cls(
-            tenant=payload["tenant"],
-            home_node=payload["home_node"],
-            working_set_pages=payload["working_set_pages"],
-            quota=None if quota is None else TenantQuota.from_payload(quota),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class AdmitTenantResult:
@@ -614,33 +326,6 @@ class AdmitTenantResult:
     account: str | None = None
     home_node: int | None = None
     retry_after: RetryAfter | None = None
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "admitted": self.admitted,
-            "tenant": self.tenant,
-            "account": self.account,
-            "home_node": self.home_node,
-            "retry_after": (
-                None
-                if self.retry_after is None
-                else self.retry_after.to_payload()
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "AdmitTenantResult":
-        retry = payload["retry_after"]
-        return cls(
-            admitted=payload["admitted"],
-            tenant=payload["tenant"],
-            account=payload["account"],
-            home_node=payload["home_node"],
-            retry_after=(
-                None if retry is None else RetryAfter.from_payload(retry)
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -663,18 +348,6 @@ class FrameDemand:
     def __post_init__(self) -> None:
         if self.n_frames < 0:
             raise ValueError("cannot demand a negative number of frames")
-
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {
-            "n_frames": self.n_frames,
-            "node": self.node,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "FrameDemand":
-        return cls(**payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -704,14 +377,6 @@ class FrameGrant:
     def __bool__(self) -> bool:
         return bool(self.pages)
 
-    def to_payload(self) -> dict[str, Any]:
-        """Plain-dict wire form (inverse of ``from_payload``)."""
-        return {"pages": list(self.pages), "node": self.node}
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "FrameGrant":
-        return cls(pages=tuple(payload["pages"]), node=payload["node"])
-
 
 __all__ = [
     "API_VERSION",
@@ -733,6 +398,4 @@ __all__ = [
     "SetSegmentManagerRequest",
     "SetSegmentManagerResult",
     "TenantQuota",
-    "reset_legacy_warnings",
-    "warn_legacy_call",
 ]

@@ -39,7 +39,6 @@ from repro.core.api import (
     PageAttribute,
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
-    warn_legacy_call,
 )
 from repro.core.faults import FaultKind, FaultTrace, PageFault
 from repro.core.flags import MANAGER_SETTABLE, PageFlags
@@ -391,33 +390,17 @@ class Kernel:
             self.tracer.event(actor, action, cost_us)
 
     def set_segment_manager(
-        self,
-        segment: Segment | SetSegmentManagerRequest,
-        manager: SegmentManager | None = None,
-    ) -> SetSegmentManagerResult | None:
+        self, request: SetSegmentManagerRequest
+    ) -> SetSegmentManagerResult:
         """``SetSegmentManager(seg, manager)``.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.SetSegmentManagerRequest`; returns a
-        :class:`~repro.core.api.SetSegmentManagerResult` naming the
-        previous manager.  The ``(segment, manager)`` keyword form is
-        deprecated (one release) and returns ``None`` as it always did.
+        Returns a :class:`~repro.core.api.SetSegmentManagerResult` naming
+        the previous manager.
         """
-        if isinstance(segment, SetSegmentManagerRequest):
-            if manager is not None:
-                raise TypeError(
-                    "pass either a SetSegmentManagerRequest or the legacy "
-                    "(segment, manager) pair, not both"
-                )
-            previous = self._set_segment_manager(
-                self.segment(segment.segment), segment.manager
-            )
-            return SetSegmentManagerResult(previous)
-        if manager is None:
-            raise TypeError("legacy call form requires a manager")
-        warn_legacy_call("Kernel.set_segment_manager")
-        self._set_segment_manager(segment, manager)
-        return None
+        previous = self._set_segment_manager(
+            self.segment(request.segment), request.manager
+        )
+        return SetSegmentManagerResult(previous)
 
     def _set_segment_manager(
         self, segment: Segment, manager: SegmentManager
@@ -447,24 +430,14 @@ class Kernel:
         return previous
 
     def migrate_pages(
-        self,
-        src: Segment | MigratePagesRequest,
-        dst: Segment | None = None,
-        src_page: int = 0,
-        dst_page: int = 0,
-        n_pages: int = 1,
-        set_flags: PageFlags = PageFlags.NONE,
-        clear_flags: PageFlags = PageFlags.NONE,
-    ) -> MigratePagesResult | list[PageFrame]:
+        self, request: MigratePagesRequest
+    ) -> MigratePagesResult:
         """``MigratePages``: move frames from ``src`` to ``dst``.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.MigratePagesRequest`; returns a
-        :class:`~repro.core.api.MigratePagesResult` with the moved pfns
-        and batch statistics (a ``home_node`` hint splits the pages into
-        local/remote and charges the DASH remote penalty for off-node
-        frames).  The keyword call form is deprecated (one release) and
-        still returns the moved :class:`PageFrame` list.
+        Returns a :class:`~repro.core.api.MigratePagesResult` with the
+        moved pfns and batch statistics (a ``home_node`` hint splits the
+        pages into local/remote and charges the DASH remote penalty for
+        off-node frames).
 
         Migration is the *only* way frames change segments, which is what
         makes the frame-conservation invariant checkable.  Migrating into a
@@ -481,33 +454,12 @@ class Kernel:
         migrates it to the bound segment.  The whole page range must lie
         within one binding (or none).
         """
-        if isinstance(src, MigratePagesRequest):
-            if dst is not None:
-                raise TypeError(
-                    "pass either a MigratePagesRequest or the legacy "
-                    "argument list, not both"
-                )
-            moved, batch = self._migrate_request(src)
-            return MigratePagesResult(
-                tuple([frame.pfn for frame in moved]), batch
-            )
-        if dst is None:
-            raise TypeError("legacy call form requires a destination")
-        warn_legacy_call("Kernel.migrate_pages")
-        request = MigratePagesRequest(
-            src, dst, src_page, dst_page, n_pages, set_flags, clear_flags
-        )
-        moved, _ = self._migrate_request(request)
-        return moved
+        moved, batch = self._migrate_request(request)
+        return MigratePagesResult(tuple([frame.pfn for frame in moved]), batch)
 
     def migrate_pages_batch(
-        self,
-        requests: (
-            BatchMigratePagesRequest
-            | list[MigratePagesRequest]
-            | tuple[MigratePagesRequest, ...]
-        ),
-    ) -> BatchMigratePagesResult | MigratePagesResult:
+        self, request: BatchMigratePagesRequest
+    ) -> BatchMigratePagesResult:
         """Several ``MigratePages`` runs in one kernel entry.
 
         The first run is charged the full ``vpp_migrate_call``;
@@ -517,43 +469,24 @@ class Kernel:
         to group per-node frame grabs into one shard transaction, and
         the serving layer's batch scheduler coalesces per-(manager,
         node) refills the same way.
-
-        Canonical form (API v2.1): pass a
-        :class:`~repro.core.api.BatchMigratePagesRequest`; returns a
-        :class:`~repro.core.api.BatchMigratePagesResult`.  The bare
-        list/tuple form is deprecated (one release) and still returns
-        the v2.0 :class:`~repro.core.api.MigratePagesResult`.
         """
-        if isinstance(requests, BatchMigratePagesRequest):
-            runs = requests.requests
-            typed = True
-        else:
-            warn_legacy_call("Kernel.migrate_pages_batch")
-            runs = tuple(requests)
-            typed = False
+        runs = request.requests
         if not runs:
-            empty = BatchStats(n_calls=0)
-            if typed:
-                return BatchMigratePagesResult((), empty, 0)
-            return MigratePagesResult((), empty)
+            return BatchMigratePagesResult((), BatchStats(n_calls=0), 0)
         self.stats.migrate_batches += 1
         moved_pfns: list[int] = []
         batch: BatchStats | None = None
-        for i, request in enumerate(runs):
+        for i, run in enumerate(runs):
             cost = (
                 self.costs.vpp_migrate_call
                 if i == 0
                 else self.costs.vpp_migrate_batch_extra
             )
-            moved, stats = self._migrate_request(request, call_cost_us=cost)
+            moved, stats = self._migrate_request(run, call_cost_us=cost)
             moved_pfns.extend(frame.pfn for frame in moved)
             batch = stats if batch is None else batch.merged(stats)
         assert batch is not None
-        if typed:
-            return BatchMigratePagesResult(
-                tuple(moved_pfns), batch, len(runs)
-            )
-        return MigratePagesResult(tuple(moved_pfns), batch)
+        return BatchMigratePagesResult(tuple(moved_pfns), batch, len(runs))
 
     def _migrate_request(
         self,
@@ -748,38 +681,24 @@ class Kernel:
         return moved
 
     def modify_page_flags(
-        self,
-        segment: Segment | ModifyPageFlagsRequest,
-        page: int = 0,
-        n_pages: int = 1,
-        set_flags: PageFlags = PageFlags.NONE,
-        clear_flags: PageFlags = PageFlags.NONE,
-    ) -> ModifyPageFlagsResult | int:
+        self, request: ModifyPageFlagsRequest
+    ) -> ModifyPageFlagsResult:
         """``ModifyPageFlags``: flag changes without migration.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.ModifyPageFlagsRequest`; returns a
-        :class:`~repro.core.api.ModifyPageFlagsResult` with the number of
-        present pages modified.  The keyword form is deprecated (one
-        release) and still returns the bare count.  Reducing protection
-        shoots down any cached translations so the next access re-enters
-        the kernel --- this is how a manager arranges to see references
-        (the clock algorithm) or writes.
+        Returns a :class:`~repro.core.api.ModifyPageFlagsResult` with the
+        number of present pages modified.  Reducing protection shoots
+        down any cached translations so the next access re-enters the
+        kernel --- this is how a manager arranges to see references (the
+        clock algorithm) or writes.
         """
-        if isinstance(segment, ModifyPageFlagsRequest):
-            request = segment
-            modified = self._modify_page_flags(
-                self.segment(request.segment),
-                request.page,
-                request.n_pages,
-                request.set_flags,
-                request.clear_flags,
-            )
-            return ModifyPageFlagsResult(modified)
-        warn_legacy_call("Kernel.modify_page_flags")
-        return self._modify_page_flags(
-            segment, page, n_pages, set_flags, clear_flags
+        modified = self._modify_page_flags(
+            self.segment(request.segment),
+            request.page,
+            request.n_pages,
+            request.set_flags,
+            request.clear_flags,
         )
+        return ModifyPageFlagsResult(modified)
 
     def _modify_page_flags(
         self,
@@ -821,30 +740,20 @@ class Kernel:
         return modified
 
     def get_page_attributes(
-        self,
-        segment: Segment | GetPageAttributesRequest,
-        page: int = 0,
-        n_pages: int = 1,
-    ) -> GetPageAttributesResult | list[PageAttribute]:
+        self, request: GetPageAttributesRequest
+    ) -> GetPageAttributesResult:
         """``GetPageAttributes``: flags plus physical frame addresses.
 
-        Canonical form (API v2): pass a
-        :class:`~repro.core.api.GetPageAttributesRequest`; returns a
-        :class:`~repro.core.api.GetPageAttributesResult` with a tuple of
-        :class:`~repro.core.api.PageAttribute`.  The keyword form is
-        deprecated (one release) and still returns the bare list.
+        Returns a :class:`~repro.core.api.GetPageAttributesResult` with a
+        tuple of :class:`~repro.core.api.PageAttribute`.
 
         Exposing the physical address is deliberate --- it is what lets an
         application implement page coloring and physical placement (S1).
         """
-        if isinstance(segment, GetPageAttributesRequest):
-            request = segment
-            attributes = self._get_page_attributes(
-                self.segment(request.segment), request.page, request.n_pages
-            )
-            return GetPageAttributesResult(tuple(attributes))
-        warn_legacy_call("Kernel.get_page_attributes")
-        return self._get_page_attributes(segment, page, n_pages)
+        attributes = self._get_page_attributes(
+            self.segment(request.segment), request.page, request.n_pages
+        )
+        return GetPageAttributesResult(tuple(attributes))
 
     def _get_page_attributes(
         self, segment: Segment, page: int, n_pages: int

@@ -167,14 +167,14 @@ def main(argv: list[str] | None = None) -> int:
         help=f"simulated run length per row (default {DURATION_US:.0f})",
     )
     parser.add_argument(
-        "--out",
+        "--output",
         default="BENCH_serve.json",
         help="payload path (default BENCH_serve.json)",
     )
     args = parser.parse_args(argv)
-    report = write_report(args.out, args.duration_us)
+    report = write_report(args.output, args.duration_us)
     print(render(report))
-    print(f"wrote {args.out}")
+    print(f"wrote {args.output}")
     worst = min(row["fairness_index"] for row in report["results"])
     if worst < 0.8:
         print(

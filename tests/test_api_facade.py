@@ -1,13 +1,14 @@
-"""API v2 facade: payload round-trips, deprecation shims, topology checks.
+"""API v3 facade: request/result construction, typed kernel entries.
 
-This file is the *only* place the deprecated keyword call forms are
-exercised on purpose; every other caller in the repo goes through the
-typed request/result dataclasses of :mod:`repro.core.api`.
+Every caller in the repo goes through the typed request/result
+dataclasses of :mod:`repro.core.api`; each kernel primitive and manager
+callback has exactly one call form.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
@@ -31,29 +32,21 @@ from repro.core.api import (
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
     TenantQuota,
-    reset_legacy_warnings,
 )
 from repro.core.flags import PageFlags
 from repro.core.kernel import Kernel
+from repro.core.manager_api import SegmentManager
 from repro.errors import HardwareError
 from repro.hw.numa import NumaTopology
-from repro.hw.phys_mem import PhysicalMemory
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.spcm import SystemPageCacheManager
 
 
-class _NamedManager:
-    """Just enough of a manager for the wire-form tests."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
 class TestPayloadRoundTrips:
-    """Every request/result survives to_payload -> from_payload."""
+    """Request/result dataclasses: construction, coercion, validation."""
 
     def test_api_version(self):
-        assert API_VERSION == (2, 1)
+        assert API_VERSION == (3, 0)
 
     def test_page_attribute(self):
         attr = PageAttribute(
@@ -63,21 +56,23 @@ class TestPayloadRoundTrips:
             pfn=17,
             phys_addr=17 * 4096,
         )
-        assert PageAttribute.from_payload(attr.to_payload()) == attr
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            attr.pfn = 18  # type: ignore[misc]
 
     def test_page_attribute_absent(self):
         attr = PageAttribute(
             page=0, present=False, flags=PageFlags.NONE, pfn=None,
             phys_addr=None,
         )
-        assert PageAttribute.from_payload(attr.to_payload()) == attr
+        assert not attr.present
+        assert attr.pfn is None and attr.phys_addr is None
 
     def test_batch_stats(self):
-        stats = BatchStats(
-            n_calls=2, n_pages=64, zero_fills=3, cow_copies=1,
-            local_pages=48, remote_pages=16,
+        # a bare MigratePages is one call; only batches merge counts up
+        assert BatchStats() == BatchStats(
+            n_calls=1, n_pages=0, zero_fills=0, cow_copies=0,
+            local_pages=0, remote_pages=0,
         )
-        assert BatchStats.from_payload(stats.to_payload()) == stats
 
     def test_batch_stats_merged(self):
         a = BatchStats(n_calls=1, n_pages=8, local_pages=8)
@@ -91,10 +86,14 @@ class TestPayloadRoundTrips:
     def test_migrate_pages_request(self):
         req = MigratePagesRequest(
             src=1, dst=2, src_page=3, dst_page=4, n_pages=5,
-            set_flags=PageFlags.PINNED, clear_flags=PageFlags.DIRTY,
+            set_flags=int(PageFlags.PINNED),  # type: ignore[arg-type]
+            clear_flags=int(PageFlags.DIRTY),  # type: ignore[arg-type]
             home_node=1,
         )
-        assert MigratePagesRequest.from_payload(req.to_payload()) == req
+        assert type(req.set_flags) is PageFlags
+        assert req.set_flags == PageFlags.PINNED
+        assert type(req.clear_flags) is PageFlags
+        assert req.clear_flags == PageFlags.DIRTY
 
     def test_migrate_pages_request_coerces_segments(self, kernel):
         seg = kernel.create_segment(1, name="coerce")
@@ -107,27 +106,30 @@ class TestPayloadRoundTrips:
             moved_pfns=(9, 10, 11),
             batch=BatchStats(n_pages=3, local_pages=3),
         )
-        assert MigratePagesResult.from_payload(result.to_payload()) == result
         assert result.n_pages == 3
 
-    def test_modify_page_flags_request(self):
+    def test_modify_page_flags_request(self, kernel):
+        seg = kernel.create_segment(2, name="flags")
         req = ModifyPageFlagsRequest(
-            segment=7, page=1, n_pages=2,
-            set_flags=PageFlags.READ, clear_flags=PageFlags.REFERENCED,
+            segment=seg, page=1, n_pages=1,
+            set_flags=int(PageFlags.READ),  # type: ignore[arg-type]
+            clear_flags=PageFlags.REFERENCED,
         )
-        assert ModifyPageFlagsRequest.from_payload(req.to_payload()) == req
+        assert req.segment == seg.seg_id
+        assert type(req.set_flags) is PageFlags
+        assert req.set_flags == PageFlags.READ
 
     def test_modify_page_flags_result(self):
         result = ModifyPageFlagsResult(modified=5)
-        assert (
-            ModifyPageFlagsResult.from_payload(result.to_payload()) == result
-        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.modified = 6  # type: ignore[misc]
 
-    def test_get_page_attributes_request(self):
-        req = GetPageAttributesRequest(segment=4, page=0, n_pages=8)
-        assert (
-            GetPageAttributesRequest.from_payload(req.to_payload()) == req
-        )
+    def test_get_page_attributes_request(self, kernel):
+        seg = kernel.create_segment(8, name="attrs")
+        req = GetPageAttributesRequest(segment=seg, page=0, n_pages=8)
+        assert req.segment == seg.seg_id
+        with pytest.raises(TypeError):
+            GetPageAttributesRequest(segment="attrs", page=0)
 
     def test_get_page_attributes_result(self):
         result = GetPageAttributesResult(
@@ -136,38 +138,39 @@ class TestPayloadRoundTrips:
                 PageAttribute(1, False, PageFlags.NONE, None, None),
             )
         )
-        assert (
-            GetPageAttributesResult.from_payload(result.to_payload())
-            == result
-        )
+        assert [a.present for a in result.attributes] == [True, False]
 
-    def test_set_segment_manager_request(self):
-        managers = {"dbms": _NamedManager("dbms")}
-        req = SetSegmentManagerRequest(segment=9, manager=managers["dbms"])
-        back = SetSegmentManagerRequest.from_payload(
-            req.to_payload(), managers.__getitem__
-        )
-        assert back.segment == 9
-        assert back.manager is managers["dbms"]
+    def test_set_segment_manager_request(self, system):
+        seg = system.kernel.create_segment(1, name="bind")
+        manager = system.default_manager
+        req = SetSegmentManagerRequest(segment=seg, manager=manager)
+        assert req.segment == seg.seg_id
+        assert req.manager is manager
 
-    def test_set_segment_manager_result(self):
-        result = SetSegmentManagerResult(previous_manager="default")
-        assert (
-            SetSegmentManagerResult.from_payload(result.to_payload())
-            == result
+    def test_set_segment_manager_result(self, system):
+        kernel = system.kernel
+        other = GenericSegmentManager(
+            kernel, system.spcm, "other", initial_frames=0
         )
+        seg = kernel.create_segment(2, manager=system.default_manager)
+        result = kernel.set_segment_manager(
+            SetSegmentManagerRequest(seg, other)
+        )
+        assert result == SetSegmentManagerResult(system.default_manager.name)
+        assert seg.manager is other
 
     def test_frame_demand(self):
-        demand = FrameDemand(n_frames=4, node=1, reason="loan-recall")
-        assert FrameDemand.from_payload(demand.to_payload()) == demand
+        demand = FrameDemand(n_frames=4)
+        assert demand.node is None
+        assert demand.reason == "pressure"
 
     def test_frame_demand_rejects_negative(self):
         with pytest.raises(ValueError):
             FrameDemand(-1)
 
     def test_frame_grant(self):
-        grant = FrameGrant(pages=(2, 5, 7), node=0)
-        assert FrameGrant.from_payload(grant.to_payload()) == grant
+        grant = FrameGrant(pages=[2, 5, 7], node=0)  # type: ignore[arg-type]
+        assert grant.pages == (2, 5, 7)
         assert grant.n_frames == 3
         assert grant
 
@@ -175,7 +178,7 @@ class TestPayloadRoundTrips:
         grant = FrameGrant.empty()
         assert not grant
         assert grant.n_frames == 0
-        assert FrameGrant.from_payload(grant.to_payload()) == grant
+        assert grant == FrameGrant(())
 
     # -- the v2.1 serving vocabulary ------------------------------------
 
@@ -185,9 +188,6 @@ class TestPayloadRoundTrips:
                 MigratePagesRequest(1, 2, 0, 0, 4, home_node=0),
                 MigratePagesRequest(1, 2, 8, 4, 2, home_node=1),
             )
-        )
-        assert (
-            BatchMigratePagesRequest.from_payload(req.to_payload()) == req
         )
         assert req.n_requests == 2
         assert req.n_pages == 6
@@ -204,30 +204,24 @@ class TestPayloadRoundTrips:
             batch=BatchStats(n_calls=2, n_pages=3, local_pages=3),
             n_requests=2,
         )
-        assert (
-            BatchMigratePagesResult.from_payload(result.to_payload())
-            == result
-        )
         assert result.n_pages == 3
 
     def test_retry_after(self):
-        shed = RetryAfter(
-            tenant="tenant-3", retry_after_us=1500.0, reason="backpressure"
-        )
-        assert RetryAfter.from_payload(shed.to_payload()) == shed
+        shed = RetryAfter(tenant="tenant-3", retry_after_us=0.0)
+        assert shed.reason == "admission"
 
     def test_retry_after_rejects_negative(self):
         with pytest.raises(ValueError):
             RetryAfter("t", -1.0)
 
     def test_tenant_quota(self):
-        quota = TenantQuota(account="tenant-0", frames=16, dram_mb=0.0625)
-        assert TenantQuota.from_payload(quota.to_payload()) == quota
+        # zero is a legal quota: the tenant may hold no frames at all
+        quota = TenantQuota(account="tenant-0", frames=0, dram_mb=0.0)
+        assert quota.frames == 0 and quota.dram_mb == 0.0
 
     def test_tenant_quota_unlimited_axes(self):
         quota = TenantQuota(account="tenant-1")
         assert quota.frames is None and quota.dram_mb is None
-        assert TenantQuota.from_payload(quota.to_payload()) == quota
 
     def test_tenant_quota_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -236,212 +230,89 @@ class TestPayloadRoundTrips:
             TenantQuota("t", dram_mb=-0.5)
 
     def test_admit_tenant_request(self):
+        quota = TenantQuota("tenant-7", frames=8)
         req = AdmitTenantRequest(
             tenant="tenant-7",
             home_node=1,
             working_set_pages=32,
-            quota=TenantQuota("tenant-7", frames=8),
+            quota=quota,
         )
-        assert AdmitTenantRequest.from_payload(req.to_payload()) == req
+        assert req.quota is quota
 
     def test_admit_tenant_request_no_quota(self):
         req = AdmitTenantRequest(tenant="solo")
-        assert AdmitTenantRequest.from_payload(req.to_payload()) == req
+        assert req.home_node is None
+        assert req.working_set_pages == 16
+        assert req.quota is None
 
     def test_admit_tenant_request_rejects_bad_args(self):
         with pytest.raises(ValueError):
             AdmitTenantRequest(tenant="")
         with pytest.raises(ValueError):
             AdmitTenantRequest(tenant="t", working_set_pages=0)
+        with pytest.raises(ValueError):
+            AdmitTenantRequest(tenant="t", working_set_pages=-1)
 
     def test_admit_tenant_result_admitted(self):
-        result = AdmitTenantResult(
-            admitted=True, tenant="tenant-2", account="tenant-2", home_node=0
-        )
-        assert AdmitTenantResult.from_payload(result.to_payload()) == result
+        result = AdmitTenantResult(admitted=True, tenant="tenant-2")
+        assert result.account is None
+        assert result.retry_after is None
 
     def test_admit_tenant_result_shed(self):
+        shed = RetryAfter("tenant-9", 250.0, reason="capacity")
         result = AdmitTenantResult(
-            admitted=False,
-            tenant="tenant-9",
-            retry_after=RetryAfter("tenant-9", 250.0, reason="capacity"),
+            admitted=False, tenant="tenant-9", retry_after=shed
         )
-        assert AdmitTenantResult.from_payload(result.to_payload()) == result
+        assert not result.admitted
+        assert result.retry_after.reason == "capacity"
 
 
-@pytest.fixture
-def legacy_world(system):
-    """A booted system with the warn-once registry reset around the test."""
-    reset_legacy_warnings()
-    kernel, spcm = system.kernel, system.spcm
-    manager = GenericSegmentManager(
-        kernel, spcm, "legacy", initial_frames=16
+class TestTypedKernelEntries:
+    """Each primitive and manager callback has exactly one call form."""
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            Kernel.set_segment_manager,
+            Kernel.migrate_pages,
+            Kernel.migrate_pages_batch,
+            Kernel.modify_page_flags,
+            Kernel.get_page_attributes,
+            SegmentManager.release_frames,
+            SegmentManager.on_frames_seized,
+            GenericSegmentManager.release_frames,
+            GenericSegmentManager.on_frames_seized,
+        ],
+        ids=lambda m: m.__qualname__,
     )
-    yield kernel, spcm, manager
-    reset_legacy_warnings()
+    def test_one_typed_argument(self, method):
+        _self, *rest = inspect.signature(method).parameters.values()
+        assert len(rest) == 1
+        assert rest[0].default is inspect.Parameter.empty
 
-
-def _legacy_calls(record) -> list[warnings.WarningMessage]:
-    return [
-        w for w in record if issubclass(w.category, DeprecationWarning)
-    ]
-
-
-class TestDeprecationShims:
-    """Each legacy keyword call form warns exactly once per process."""
-
-    def test_modify_page_flags_warns_once(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
-        kernel.reference(seg, 0)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            kernel.modify_page_flags(
-                seg, 0, 1, clear_flags=PageFlags.REFERENCED
-            )
-            kernel.modify_page_flags(
-                seg, 0, 1, set_flags=PageFlags.REFERENCED
-            )
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "ModifyPageFlagsRequest" in str(caught[0].message)
-
-    def test_migrate_pages_warns_once_and_returns_frames(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
+    def test_migrate_pages_batch_typed_form(self, system):
+        kernel = system.kernel
+        seg = kernel.create_segment(4, manager=system.default_manager)
         boot = kernel.initial_segment
         pages = sorted(boot.pages)[:2]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            moved = kernel.migrate_pages(boot, seg, pages[0], 0, 1)
-            kernel.migrate_pages(boot, seg, pages[1], 1, 1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "MigratePagesRequest" in str(caught[0].message)
-        # the legacy form still returns the moved PageFrame list
-        assert moved[0] is seg.pages[0]
-
-    def test_migrate_pages_batch_list_warns_once(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
-        boot = kernel.initial_segment
-        pages = sorted(boot.pages)[:2]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = kernel.migrate_pages_batch(
-                [MigratePagesRequest(boot, seg, pages[0], 0, 1)]
-            )
-            kernel.migrate_pages_batch(
-                [MigratePagesRequest(boot, seg, pages[1], 1, 1)]
-            )
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "BatchMigratePagesRequest" in str(caught[0].message)
-        # the legacy list form keeps the v2.0 MigratePagesResult
-        assert isinstance(result, MigratePagesResult)
-        assert result.n_pages == 1
-
-    def test_migrate_pages_batch_typed_form(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
-        boot = kernel.initial_segment
-        pages = sorted(boot.pages)[:2]
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            result = kernel.migrate_pages_batch(
-                BatchMigratePagesRequest(
-                    (
-                        MigratePagesRequest(boot, seg, pages[0], 0, 1),
-                        MigratePagesRequest(boot, seg, pages[1], 1, 1),
-                    )
+        result = kernel.migrate_pages_batch(
+            BatchMigratePagesRequest(
+                (
+                    MigratePagesRequest(boot, seg, pages[0], 0, 1),
+                    MigratePagesRequest(boot, seg, pages[1], 1, 1),
                 )
             )
-        assert _legacy_calls(record) == []
+        )
         assert isinstance(result, BatchMigratePagesResult)
         assert result.n_requests == 2
         assert result.n_pages == 2
         assert result.batch.n_calls == 2
 
-    def test_migrate_pages_batch_typed_empty(self, legacy_world):
-        kernel, _, _ = legacy_world
+    def test_migrate_pages_batch_typed_empty(self, kernel):
         result = kernel.migrate_pages_batch(BatchMigratePagesRequest(()))
-        assert isinstance(result, BatchMigratePagesResult)
-        assert result.n_pages == 0
-        assert result.n_requests == 0
-
-    def test_get_page_attributes_warns_once(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            attrs = kernel.get_page_attributes(seg, 0, 4)
-            kernel.get_page_attributes(seg, 0, 1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "GetPageAttributesRequest" in str(caught[0].message)
-        assert len(attrs) == 4  # legacy form keeps the bare list
-
-    def test_set_segment_manager_warns_once(self, legacy_world):
-        kernel, spcm, manager = legacy_world
-        other = GenericSegmentManager(
-            kernel, spcm, "legacy-other", initial_frames=0
+        assert result == BatchMigratePagesResult(
+            (), BatchStats(n_calls=0), 0
         )
-        seg = kernel.create_segment(2, manager=manager)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert kernel.set_segment_manager(seg, other) is None
-            kernel.set_segment_manager(seg, manager)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "SetSegmentManagerRequest" in str(caught[0].message)
-
-    def test_release_frames_warns_once(self, legacy_world):
-        _, _, manager = legacy_world
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            freed = manager.release_frames(2)
-            manager.release_frames(1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "FrameDemand" in str(caught[0].message)
-        assert freed == 2  # legacy form keeps the bare count
-
-    def test_on_frames_seized_warns_once(self, legacy_world):
-        _, _, manager = legacy_world
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            manager.on_frames_seized([])
-            manager.on_frames_seized([])
-        caught = _legacy_calls(record)
-        assert len(caught) == 1
-        assert "FrameGrant" in str(caught[0].message)
-
-    def test_each_operation_warns_independently(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            kernel.get_page_attributes(seg, 0, 1)
-            kernel.modify_page_flags(seg, 0, 1)
-            kernel.get_page_attributes(seg, 0, 1)
-        caught = _legacy_calls(record)
-        assert len(caught) == 2
-
-    def test_typed_forms_never_warn(self, legacy_world):
-        kernel, _, manager = legacy_world
-        seg = kernel.create_segment(4, manager=manager)
-        kernel.reference(seg, 0)
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            kernel.get_page_attributes(GetPageAttributesRequest(seg, 0, 4))
-            kernel.modify_page_flags(
-                ModifyPageFlagsRequest(
-                    seg, 0, 1, clear_flags=PageFlags.REFERENCED
-                )
-            )
-            manager.release_frames(FrameDemand(1))
-            manager.on_frames_seized(FrameGrant.empty())
-        assert _legacy_calls(record) == []
 
 
 class TestTopologyValidation:

@@ -358,10 +358,8 @@ class TestAdmit:
         assert session.manager.name == "alpha"
         assert session.segment.n_pages == 8
         assert system.spcm.arbiter.quota_of(session.account) == 12
-        # payload round-trips through the wire form
-        from repro.core.api import AdmitTenantResult
-
-        assert AdmitTenantResult.from_payload(result.to_payload()) == result
+        assert result.account == session.account
+        assert result.retry_after is None
 
     def test_home_nodes_round_robin(self):
         _system, serving = build_serving()
@@ -540,3 +538,18 @@ def test_named_schedules_registered():
 
     report = run_twice("serve-smoke", nodes=2)
     assert report.ok, report.render()
+
+
+def test_bench_serve_cli_writes_payload_to_output(tmp_path, capsys):
+    """``bench serve --output`` names the payload path, like its siblings."""
+    import json
+
+    from repro.serve import bench
+
+    out = tmp_path / "serve.json"
+    assert bench.main(["--output", str(out), "--duration-us", "2000"]) == 0
+    report = json.loads(out.read_text())
+    assert [row["n_tenants"] for row in report["results"]] == list(
+        bench.TENANT_SWEEP
+    )
+    assert f"wrote {out}" in capsys.readouterr().out
