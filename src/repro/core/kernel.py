@@ -125,7 +125,7 @@ class KernelStats:
     manager_calls: dict[str, int] = field(default_factory=dict)
     #: MigratePages invocations by calling manager name (Table 3, column 2)
     migrate_calls_by_manager: dict[str, int] = field(default_factory=dict)
-    #: outermost fault services attributed to a serving tenant
+    #: outermost fault services on a serving tenant's segment
     tenant_faults: dict[str, int] = field(default_factory=dict)
     #: summed metered latency of those services, by tenant
     tenant_fault_us: dict[str, float] = field(default_factory=dict)
@@ -262,9 +262,6 @@ class Kernel:
         # who is invoking kernel operations (Table 3 counts MigratePages
         # calls per invoking module); innermost attribution wins
         self._attribution: list[str] = []
-        # serving tenant the current fault service is billed to (set by
-        # attribute_tenant); None keeps the no-listener fast path intact
-        self._tenant: str | None = None
         # Boot: one well-known segment per frame size, all frames in
         # physical-address order (paper, S2.1).
         self.boot_segments: dict[int, Segment] = {}
@@ -847,7 +844,7 @@ class Kernel:
             not self.tracer.enabled
             and not self._fault_listeners
             and not self._fault_step_listeners
-            and self._tenant is None
+            and space.tenant is None
         ):
             return self._handle_slow_reference(space, vpn, write)
         before = self.meter.total_us
@@ -872,8 +869,8 @@ class Kernel:
             # observation (a manager's fill may itself fault)
             if self._fault_depth == 0:
                 latency = self.meter.total_us - before
-                if self._tenant is not None:
-                    self.stats.note_tenant_fault(self._tenant, latency)
+                if space.tenant is not None:
+                    self.stats.note_tenant_fault(space.tenant, latency)
                 for listener in self._fault_listeners:
                     try:
                         listener(latency)
@@ -1426,22 +1423,6 @@ class Kernel:
             yield
         finally:
             self._attribution.pop()
-
-    @contextmanager
-    def attribute_tenant(self, tenant: str):
-        """Bill outermost fault services inside the block to ``tenant``.
-
-        The serving layer wraps each scheduled reference in this so
-        ``KernelStats.tenant_faults`` / ``tenant_fault_us`` break the
-        shared fault pipeline down per tenant.  Outside any block the
-        field stays ``None`` and the no-listener fast path is untouched.
-        """
-        previous = self._tenant
-        self._tenant = tenant
-        try:
-            yield
-        finally:
-            self._tenant = previous
 
     def notify_manager_call(self, manager: SegmentManager) -> None:
         """Record a non-fault manager request forwarded by the kernel

@@ -91,6 +91,8 @@ class Segment:
         self.cow_source = cow_source
         self.auto_grow = auto_grow
         self.manager: "SegmentManager | None" = None
+        # serving tenant billed for outermost faults on this segment
+        self.tenant: str | None = None
         self.deleted = False
         self.pages: dict[int, "PageFrame"] = {}
         self.bindings: list[Binding] = []

@@ -30,25 +30,22 @@ class TokenBucket:
         self.tokens = burst
         self.last_refill_us = 0.0
 
-    def _refill(self, now_us: float) -> None:
-        dt_us = now_us - self.last_refill_us
-        if dt_us > 0:
-            self.tokens = min(
-                self.burst, self.tokens + dt_us * 1e-6 * self.rate_per_s
-            )
-            self.last_refill_us = now_us
-
     def try_take(self, now_us: float) -> float:
-        """Take one token if available.
+        """Refill from the time elapsed, then take one token if available.
 
         Returns ``0.0`` on success, else the simulated microseconds
         until a token will have accrued (the ``RetryAfter`` horizon).
         """
-        self._refill(now_us)
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
+        tokens = self.tokens
+        dt_us = now_us - self.last_refill_us
+        if dt_us > 0:
+            tokens = min(self.burst, tokens + dt_us * 1e-6 * self.rate_per_s)
+            self.last_refill_us = now_us
+        if tokens >= 1.0:
+            self.tokens = tokens - 1.0
             return 0.0
-        return (1.0 - self.tokens) / self.rate_per_s * 1e6
+        self.tokens = tokens
+        return (1.0 - tokens) / self.rate_per_s * 1e6
 
 
 class AdmissionController:

@@ -4,7 +4,12 @@ A :class:`TenantSession` is one registered workload: its own
 :class:`~repro.managers.base.GenericSegmentManager` (paging policy stays
 at application level, per the paper), a working-set segment, a home NUMA
 node, and an optional :class:`~repro.core.api.TenantQuota` enforced
-through the SPCM market/arbiter.
+through the SPCM market/arbiter.  Admission stamps the tenant on its
+working-set segment (:attr:`~repro.core.segment.Segment.tenant`), so the
+kernel bills every outermost fault there to the tenant with no
+per-request scope, and fixes the scheduler queue the tenant's requests
+join (``queue_key``).  The scheduler's flush books each serviced request
+on its session itself.
 
 :class:`ServingSystem` owns the discrete-event engine, the admission
 controller, and the batch scheduler, and exposes the typed v2.1
@@ -48,6 +53,11 @@ class TenantSession:
     #: the most recent typed shed this tenant received (None if never shed)
     last_retry_after: object | None = None
     latency: Tally = field(default_factory=lambda: Tally("fault_latency_us"))
+    #: the scheduler queue this tenant's requests join: (manager, node)
+    queue_key: tuple[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.queue_key = (self.manager.name, self.home_node)
 
     @property
     def account(self) -> str:
@@ -138,6 +148,8 @@ class ServingSystem:
             manager=manager,
             name=f"{request.tenant}.ws",
         )
+        # the kernel bills outermost faults on this segment to the tenant
+        segment.tenant = request.tenant
         quota = request.quota
         if quota is not None:
             if quota.account != manager.account:
@@ -179,17 +191,7 @@ class ServingSystem:
 
     def flush(self) -> int:
         """Drain the scheduler at the current engine time."""
-        return self.scheduler.flush(self.engine.now, self._serviced)
-
-    def _serviced(
-        self, session: TenantSession, latency_us: float, ok: bool
-    ) -> None:
-        session.serviced += 1
-        if not ok:
-            session.service_errors += 1
-        session.latency.record(latency_us)
-        for hook in self._fault_hooks:
-            hook(session.tenant, latency_us)
+        return self.scheduler.flush(self.engine.now, self._fault_hooks)
 
     def on_tenant_fault(self, hook) -> None:
         """Call ``hook(tenant, latency_us)`` per serviced request."""

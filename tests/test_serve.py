@@ -2,13 +2,16 @@
 
 Unit coverage for the token bucket, the admission controller's three
 shed reasons (every shed a typed :class:`~repro.core.api.RetryAfter`),
-and the batch scheduler's one-refill-per-batch contract; integration
-coverage for the typed ``AdmitTenant`` entry, quota deferral (a tenant
-over quota thrashes its own residents, it is never refused), and the
-closed-loop load generator; and a hypothesis property driving randomized
-admit/run/shed/crash interleavings twice each, asserting frame and
-dram-quota conservation (the invariant checker's quota sweep) and
-bit-identical serving digests.
+and the batch scheduler's one-refill-per-batch contract and its
+conservation when an unexpected error escapes a flush; segment-owned
+tenant billing; integration coverage for the typed ``AdmitTenant``
+entry, quota deferral (a tenant over quota thrashes its own residents,
+it is never refused), and the closed-loop load generator; and a
+hypothesis property driving randomized admit/run/shed/crash
+interleavings twice each, asserting frame and dram-quota conservation
+(the invariant checker's quota sweep), ``admitted == serviced +
+backlog`` after every flush, per-tenant billing of exactly the outermost
+faults on each tenant's segment, and bit-identical serving digests.
 """
 
 from __future__ import annotations
@@ -281,15 +284,91 @@ class TestBatchScheduler:
         finally:
             del kernel.reference
         scheduler = serving.scheduler
-        # tenant-0's batch (first in key order) was taken when it raised;
-        # tenant-1's batch was never reached and is still queued
-        assert scheduler.backlog == 3
+        # tenant-0's first request raised and is the one the caller saw;
+        # the rest of its batch went back to the head of its queue, and
+        # tenant-1's batch was never reached
+        assert scheduler.backlog == 5
         assert scheduler.batches_flushed == 1
         assert scheduler.items_serviced == 0
-        assert serving.flush() == 3
-        assert b.serviced == 3
         assert a.serviced == 0
+        assert serving.flush() == 5
+        assert a.serviced == 2
+        assert b.serviced == 3
         assert scheduler.backlog == 0
+        assert scheduler.items_serviced == 5
+
+    def test_mid_batch_error_requeues_the_tail_ahead_of_newer_work(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 2, working_set_pages=8, quota_frames=16)
+        a = serving.sessions["tenant-0"]
+        b = serving.sessions["tenant-1"]
+        page = a.segment.page_size
+        for i in range(3):
+            serving.submit(a, i * page, False)
+            serving.submit(b, i * page, False)
+        kernel = system.kernel
+        original = kernel.reference
+        seen = []
+        calls = [0]
+
+        def boom_on_second(segment, vaddr, write=False):
+            seen.append((segment.tenant, vaddr))
+            calls[0] += 1
+            if calls[0] == 2:
+                raise RuntimeError("not a ReproError")
+            return original(segment, vaddr, write)
+
+        kernel.reference = boom_on_second
+        try:
+            with pytest.raises(RuntimeError):
+                serving.flush()
+            # tenant-0's first request was serviced, its second raised,
+            # its third is back at the head of its queue
+            assert a.serviced == 1
+            assert serving.scheduler.backlog == 4
+            serving.submit(a, 5 * page, False)
+            seen.clear()
+            assert serving.flush() == 5
+        finally:
+            del kernel.reference
+        assert seen == [
+            ("tenant-0", 2 * page),
+            ("tenant-0", 5 * page),
+            ("tenant-1", 0),
+            ("tenant-1", page),
+            ("tenant-1", 2 * page),
+        ]
+        assert a.serviced == 3
+        assert b.serviced == 3
+        # only the raising request is neither serviced nor queued
+        assert serving.admission.admitted == (
+            serving.scheduler.items_serviced + serving.scheduler.backlog + 1
+        )
+
+    def test_flush_looks_up_kernel_reference_at_flush_time(self):
+        # a wrapper installed on the instance after the serving system is
+        # built (as the host-time benchmark does) must see every request
+        system, serving = build_serving()
+        admit_fleet(serving, 2, working_set_pages=8, quota_frames=16)
+        kernel = system.kernel
+        calls = []
+        original = kernel.reference
+
+        def counting(segment, vaddr, write=False):
+            calls.append(segment.tenant)
+            return original(segment, vaddr, write)
+
+        kernel.reference = counting
+        try:
+            page = kernel.memory.page_size
+            for session in serving.sessions.values():
+                for i in range(3):
+                    serving.submit(session, i * page, i == 1)
+            assert serving.flush() == 6
+        finally:
+            del kernel.reference
+        assert len(calls) == 6
+        assert sorted(calls) == ["tenant-0"] * 3 + ["tenant-1"] * 3
 
 
 @settings(
@@ -337,6 +416,74 @@ def test_at_quota_request_grants_nothing(ops):
 
 
 # ---------------------------------------------------------------------------
+# segment-owned tenant billing
+# ---------------------------------------------------------------------------
+
+
+class TestTenantBilling:
+    def test_flush_and_direct_references_bill_alike(self):
+        def bill(through_flush):
+            system, serving = build_serving()
+            admit_fleet(serving, 2, working_set_pages=8, quota_frames=16)
+            session = serving.sessions["tenant-1"]
+            page = session.segment.page_size
+            for i in range(4):
+                if through_flush:
+                    serving.submit(session, i * page, False)
+                    serving.flush()
+                else:
+                    # no serving scope at all: the segment decides the bill
+                    system.kernel.reference(session.segment, i * page, False)
+            stats = system.kernel.stats
+            assert stats.tenant_fault_us["tenant-1"] > 0.0
+            # the fault latencies differ (a flush pre-refills the frame
+            # stock outside the fault), the count of billed faults not
+            return dict(stats.tenant_faults)
+
+        assert bill(True) == bill(False) == {"tenant-1": 4}
+
+    def test_default_manager_fault_is_billed_to_no_tenant(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 1, working_set_pages=8, quota_frames=16)
+        kernel = system.kernel
+        faults = kernel.stats.faults
+        plain = kernel.create_segment(4, manager=system.default_manager)
+        assert plain.tenant is None
+        kernel.reference(plain, 0, True)
+        assert kernel.stats.faults > faults
+        assert kernel.stats.tenant_faults == {}
+        assert kernel.stats.tenant_fault_us == {}
+
+    def test_nested_fault_is_billed_once_to_the_outermost_tenant(self):
+        system, serving = build_serving()
+        admit_fleet(serving, 2, working_set_pages=8, quota_frames=16)
+        kernel = system.kernel
+        outer = serving.sessions["tenant-0"]
+        inner = serving.sessions["tenant-1"]
+        original = outer.manager.handle_fault
+        nested = []
+
+        def fill_touching_another_tenant(fault):
+            # the fill itself faults on tenant-1's segment
+            faults = kernel.stats.faults
+            kernel.reference(inner.segment, 0, True)
+            nested.append(kernel.stats.faults - faults)
+            return original(fault)
+
+        outer.manager.handle_fault = fill_touching_another_tenant
+        serving.submit(outer, 0, True)
+        serving.flush()
+        del outer.manager.handle_fault
+        assert nested == [1]
+        assert kernel.stats.tenant_faults == {"tenant-0": 1}
+        assert "tenant-1" not in kernel.stats.tenant_fault_us
+        # the outermost service's latency covers the nested fault too
+        assert kernel.stats.tenant_fault_us["tenant-0"] == pytest.approx(
+            outer.latency.total
+        )
+
+
+# ---------------------------------------------------------------------------
 # the typed AdmitTenant entry
 # ---------------------------------------------------------------------------
 
@@ -357,6 +504,7 @@ class TestAdmit:
         session = serving.sessions["alpha"]
         assert session.manager.name == "alpha"
         assert session.segment.n_pages == 8
+        assert session.segment.tenant == "alpha"
         assert system.spcm.arbiter.quota_of(session.account) == 12
         assert result.account == session.account
         assert result.retry_after is None
@@ -451,8 +599,41 @@ def _serve_run(
     admit_fleet(
         serving, n_tenants, working_set_pages=8, quota_frames=quota_frames
     )
+    kernel = system.kernel
+    scheduler = serving.scheduler
+    # an independent count of outermost faults per tenant segment: slow
+    # path entries not nested inside another slow path entry
+    outermost: dict[str, int] = {}
+    depth = [0]
+    slow_reference = kernel._slow_reference
+
+    def counting_slow_reference(space, vpn, write):
+        depth[0] += 1
+        try:
+            return slow_reference(space, vpn, write)
+        finally:
+            depth[0] -= 1
+            if depth[0] == 0 and space.tenant is not None:
+                outermost[space.tenant] = outermost.get(space.tenant, 0) + 1
+
+    kernel._slow_reference = counting_slow_reference
+    flush = serving.flush
+
+    def conserving_flush():
+        serviced = flush()
+        # every admitted request is serviced or still queued
+        assert serving.admission.admitted == (
+            scheduler.items_serviced + scheduler.backlog
+        )
+        assert sum(s.serviced for s in serving.sessions.values()) == (
+            scheduler.items_serviced
+        )
+        return serviced
+
+    serving.flush = conserving_flush
     run_load(serving, duration_us)
-    checker = InvariantChecker(system.kernel)
+    assert kernel.stats.tenant_faults == outermost
+    checker = InvariantChecker(kernel)
     checker.check_all()  # frame + dram-quota conservation, or it raises
     rows = serving.digest_rows()
     rows.extend(system.spcm.digest_rows())
@@ -476,7 +657,9 @@ def test_serving_interleavings_conserve_and_repeat(
     seed, n_tenants, quota_frames, duration_us, chaos_seed
 ):
     """Any admit/run/shed/crash interleaving: quota + frame conservation
-    holds (the checker would raise), and two identical runs produce
+    holds (the checker would raise), every flush leaves ``admitted ==
+    serviced + backlog``, each tenant is billed exactly its outermost
+    faults on its own segment, and two identical runs produce
     bit-identical serving/SPCM/arbiter digests."""
     first = _serve_run(seed, n_tenants, quota_frames, duration_us, chaos_seed)
     second = _serve_run(seed, n_tenants, quota_frames, duration_us, chaos_seed)
