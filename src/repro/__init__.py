@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chaos.injector import NULL_INJECTOR
+from repro.contracts import NULL_INJECTOR
 from repro.core.kernel import Kernel
 from repro.core.uio import UIO, FileServer
 from repro.hw.costs import DECSTATION_5000_200, CostMeter, MachineCosts

@@ -11,16 +11,13 @@ to run after every injected event, executes the workload, and reports a
 The contract the property tests assert: a run either *completes* or fails
 with a typed :class:`~repro.errors.ReproError` --- never a bare exception
 --- and the invariant checker never fires either way.
-
-This module imports :func:`repro.build_system` lazily (inside functions)
-because ``repro/__init__`` imports the kernel, which imports
-``repro.chaos.injector``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro import build_system
 from repro.chaos.injector import Injector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
@@ -108,8 +105,6 @@ def build_workload_system(tracer=None, n_nodes=None):
     re-runs these exact workloads under its digest recorder and must boot
     the identical machine.
     """
-    from repro import build_system
-
     return build_system(
         memory_mb=4, manager_frames=64, tracer=tracer, n_nodes=n_nodes
     )

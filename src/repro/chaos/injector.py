@@ -1,11 +1,11 @@
 """The fault injector: seed-driven failures at the stack's choke points.
 
 Components (kernel, disk, physical memory, managers) hold an ``injector``
-attribute, :data:`NULL_INJECTOR` by default --- the same zero-overhead
-null-object pattern as :data:`repro.obs.trace.NULL_TRACER`.  Every
-injection site is guarded by ``injector.enabled``, so with injection
-disabled the benchmarked paths make no extra calls and charge no extra
-cost.
+attribute, :data:`repro.contracts.NULL_INJECTOR` by default --- the same
+zero-overhead null-object pattern as :data:`repro.obs.trace.NULL_TRACER`.
+Every injection site is guarded by ``injector.enabled``, so with
+injection disabled the benchmarked paths make no extra calls and charge
+no extra cost.
 
 A live :class:`Injector` executes a :class:`~repro.chaos.plan.ChaosPlan`:
 each choke point draws from its own named substream of one seeded
@@ -16,62 +16,22 @@ Injected events are recorded in order, reported to the tracer (actor
 the :class:`~repro.chaos.invariants.InvariantChecker` there so invariants
 are asserted after *every* injected event.
 
-Import discipline: this module is imported by ``hw/disk.py`` and
-``core/kernel.py``, so it must not import anything above the ``sim``/
-``obs``/``errors`` layers.
+Import discipline: the null injector and the failure-mode enums the
+lower layers need live in :mod:`repro.contracts`, so nothing below
+``chaos`` imports this module.  It imports only ``obs``, ``sim``,
+``errors`` and ``contracts``, and ``tests/test_layering.py`` fails on
+any import from a layer above ``chaos``.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.chaos.plan import (
-    ChaosPlan,
-    InjectedFault,
-    IPCFailureMode,
-    ManagerFailureMode,
-)
+from repro.chaos.plan import ChaosPlan, InjectedFault
+from repro.contracts import NULL_INJECTOR, IPCFailureMode, ManagerFailureMode
 from repro.errors import ManagerCrashError, TransientDiskError
 from repro.obs.trace import NULL_TRACER
 from repro.sim.rng import RandomSource
-
-
-class NullInjector:
-    """Zero-overhead stand-in used when fault injection is disabled."""
-
-    __slots__ = ()
-
-    enabled = False
-
-    def disk_io(self, op: str, block_no: int) -> float:
-        """No injection: service time is unscaled."""
-        return 1.0
-
-    def frame_ecc(self, pfn: int) -> bool:
-        """No injection: the frame is healthy."""
-        return False
-
-    def manager_invocation(self, name: str) -> None:
-        """No injection: the manager behaves."""
-        return None
-
-    def manager_alloc(self, name: str) -> None:
-        """No injection: the allocator survives."""
-
-    def ipc_delivery(self, name: str) -> None:
-        """No injection: the message is delivered exactly once."""
-        return None
-
-    def journal_tear(self, journal) -> None:
-        """No injection: the recovery journal tail is intact."""
-
-    def checkpoint_corrupt(self, name: str) -> bool:
-        """No injection: the checkpoint is readable."""
-        return False
-
-
-#: The shared disabled injector; identity-comparable (``is NULL_INJECTOR``).
-NULL_INJECTOR = NullInjector()
 
 
 class Injector:

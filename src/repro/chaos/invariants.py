@@ -6,8 +6,9 @@ The invariants are the correctness claims the paper's design rests on:
   segment (the boot segment counts as "the free pool"), or has been
   retired after an ECC failure.  ``MigratePages`` being the only
   ownership-transfer mechanism is what makes this checkable at all.
-* **SPCM accounting** --- the SPCM free list names only genuinely free
-  boot-segment pages, and per-account holding counts are non-negative.
+* **SPCM accounting** --- the SPCM free pool is exactly the boot
+  segment's resident pages (both directions, no repeats, ascending), and
+  per-account holding counts are non-negative.
 * **Market conservation** --- drams are conserved: each shard market's
   balances plus its system sink sum to the net drams the arbiter
   transferred in, those transfers sum to zero across the machine, and
@@ -23,10 +24,15 @@ The invariants are the correctness claims the paper's design rests on:
   imply write permission.
 * **Binding sanity** --- no segment's bound regions overlap, and no
   binding targets a deleted segment.
+* **Manager bookkeeping** --- for every generic segment manager reachable
+  from a live segment or the SPCM registry: its free and empty slots are
+  disjoint, free slots hold a frame and empty slots do not, and the two
+  migrate-back maps agree and name only free slots.
 
 The checker raises :class:`~repro.errors.InvariantViolationError` listing
 every violation found, so a chaos run fails loudly at the first injected
-event that corrupts state rather than at end-of-run.
+event that corrupts state rather than at end-of-run.  It is the one
+system auditor: property tests and long simulations call it too.
 """
 
 from __future__ import annotations
@@ -60,15 +66,7 @@ class InvariantChecker:
 
     def check_all(self) -> None:
         """Run every invariant; raise listing all violations found."""
-        self.checks_run += 1
-        violations: list[str] = []
-        self._check_frames(violations)
-        self._check_spcm(violations)
-        self._check_shards(violations)
-        self._check_translations(violations)
-        self._check_bindings(violations)
-        self._check_market(violations)
-        self._check_quotas(violations)
+        violations = self.violations()
         if violations:
             raise InvariantViolationError(
                 f"{len(violations)} invariant violation(s): "
@@ -77,11 +75,17 @@ class InvariantChecker:
 
     def violations(self) -> list[str]:
         """Non-raising form: every violation message (empty when clean)."""
-        try:
-            self.check_all()
-        except InvariantViolationError as exc:
-            return [str(exc)]
-        return []
+        self.checks_run += 1
+        violations: list[str] = []
+        self._check_frames(violations)
+        self._check_spcm(violations)
+        self._check_shards(violations)
+        self._check_translations(violations)
+        self._check_bindings(violations)
+        self._check_managers(violations)
+        self._check_market(violations)
+        self._check_quotas(violations)
+        return violations
 
     # -- frame conservation ------------------------------------------------
 
@@ -134,8 +138,9 @@ class InvariantChecker:
             if boot is None:
                 violations.append(f"SPCM free list for unknown size {size}")
                 continue
+            pool = list(free_pages)
             seen: set[int] = set()
-            for page in free_pages:
+            for page in pool:
                 if page in seen:
                     violations.append(
                         f"SPCM free list repeats boot page {page} "
@@ -147,6 +152,13 @@ class InvariantChecker:
                         f"SPCM free list names boot page {page} "
                         f"(size {size}) which holds no frame"
                     )
+            for page in sorted(boot.pages.keys() - seen):
+                violations.append(
+                    f"boot page {page} (size {size}) holds a frame the "
+                    "SPCM free list does not name"
+                )
+            if pool != sorted(pool):
+                violations.append(f"SPCM free list (size {size}) is not sorted")
         for account, held in spcm.frames_held.items():
             if held < 0:
                 violations.append(
@@ -196,6 +208,10 @@ class InvariantChecker:
         kernel = self.kernel
         for (space_id, vpn), payload in kernel.tlb.entries():
             if not (isinstance(payload, tuple) and len(payload) == 2):
+                violations.append(
+                    f"TLB entry space {space_id} vpn {vpn} caches "
+                    f"{payload!r}, not a (pfn, writable) pair"
+                )
                 continue
             pfn, writable = payload
             self._check_one_translation(
@@ -270,6 +286,55 @@ class InvariantChecker:
                         f"segment {segment.seg_id} binds deleted segment "
                         f"{binding.target.seg_id}"
                     )
+
+    # -- manager slot bookkeeping -------------------------------------------
+
+    def _check_managers(self, violations: list[str]) -> None:
+        reachable = [segment.manager for segment in self.kernel.segments()]
+        reachable.extend(getattr(self.spcm, "managers", {}).values())
+        seen: set[int] = set()
+        for manager in reachable:
+            # generic segment managers keep free-slot bookkeeping; others
+            # (and segments with no manager) have nothing to check here
+            if id(manager) in seen or not hasattr(manager, "_free_slots"):
+                continue
+            seen.add(id(manager))
+            self._check_manager(violations, manager)
+
+    def _check_manager(self, violations: list[str], manager) -> None:
+        name = manager.name
+        backed = manager.free_segment.pages
+        free = set(manager._free_slots)
+        empty = set(manager._empty_slots)
+        for slot in sorted(free & empty):
+            violations.append(
+                f"manager {name}: slot {slot} is both free and empty"
+            )
+        for slot in sorted(free - backed.keys()):
+            violations.append(
+                f"manager {name}: free slot {slot} holds no frame"
+            )
+        for slot in sorted(empty & backed.keys()):
+            violations.append(
+                f"manager {name}: empty slot {slot} still holds a frame"
+            )
+        for slot, origin in manager._stale_origin.items():
+            if slot not in free:
+                violations.append(
+                    f"manager {name}: migrate-back cache names slot "
+                    f"{slot}, which is not free"
+                )
+            if manager._stale_slot.get(origin) != slot:
+                violations.append(
+                    f"manager {name}: migrate-back maps disagree at "
+                    f"{origin}"
+                )
+        if len(manager._stale_slot) != len(manager._stale_origin):
+            violations.append(
+                f"manager {name}: migrate-back maps differ in size "
+                f"({len(manager._stale_slot)} origins, "
+                f"{len(manager._stale_origin)} slots)"
+            )
 
     # -- market conservation -----------------------------------------------
 

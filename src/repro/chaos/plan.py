@@ -5,37 +5,13 @@ schedule: per-choke-point injection rates plus a seed.  The plan carries
 no state --- the :class:`~repro.chaos.injector.Injector` derives all of its
 randomness from ``(seed, substream name)`` so two runs of the same plan
 produce bit-identical failure schedules.
-
-This module must stay dependency-light (errors only): it is imported by
-``hw``-layer modules, below everything else in the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum, auto
 
 from repro.errors import ChaosError
-
-
-class ManagerFailureMode(Enum):
-    """How an injected manager failure manifests to the kernel."""
-
-    #: the manager process dies before replying (kernel sees a dead peer)
-    CRASH = auto()
-    #: the manager never replies; the kernel's per-fault timeout expires
-    HANG = auto()
-    #: the manager replies promptly but did not resolve the fault
-    BYZANTINE = auto()
-
-
-class IPCFailureMode(Enum):
-    """What happens to one kernel->manager fault message."""
-
-    #: the message is lost; the kernel times out and redelivers
-    DROP = auto()
-    #: the message is delivered twice (at-least-once semantics)
-    DUPLICATE = auto()
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.chaos.injector import NULL_INJECTOR
-from repro.chaos.plan import IPCFailureMode, ManagerFailureMode
+from repro.contracts import (
+    NULL_INJECTOR,
+    NULL_JOURNAL,
+    IPCFailureMode,
+    ManagerFailureMode,
+)
 from repro.core.api import (
     BatchMigratePagesRequest,
     BatchMigratePagesResult,
@@ -58,7 +62,6 @@ from repro.hw.page_table import GlobalHashPageTable, Translation
 from repro.hw.phys_mem import PageFrame, PhysicalMemory
 from repro.hw.tlb import TLB
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.recovery.journal import NULL_JOURNAL
 
 __all__ = ["Kernel", "KernelStats", "PageAttribute"]
 
@@ -169,13 +172,6 @@ class KernelStats:
         self.manager_calls[manager_name] = (
             self.manager_calls.get(manager_name, 0) + 1
         )
-
-    def note_migrate(self, manager_name: str | None) -> None:
-        """Count one MigratePages invocation by ``manager_name``."""
-        if manager_name is not None:
-            self.migrate_calls_by_manager[manager_name] = (
-                self.migrate_calls_by_manager.get(manager_name, 0) + 1
-            )
 
     def note_tenant_fault(self, tenant: str, latency_us: float) -> None:
         """Book one outermost fault service against ``tenant``."""

@@ -275,9 +275,3 @@ class Segment:
                 prot=PageFlags(prot_i),
                 depth=depth,
             )
-
-    # -- data convenience (used by UIO and tests) -------------------------------
-
-    def frame_at(self, page: int) -> "PageFrame | None":
-        """The frame backing ``page`` of this segment, if present."""
-        return self.pages.get(page)

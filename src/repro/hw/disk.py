@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chaos.injector import NULL_INJECTOR
+from repro.contracts import NULL_INJECTOR
 from repro.errors import DiskError, TransientDiskError
 from repro.hw.costs import MachineCosts
 from repro.obs.trace import NULL_TRACER

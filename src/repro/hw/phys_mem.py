@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 
-from repro.chaos.injector import NULL_INJECTOR
+from repro.contracts import NULL_INJECTOR
 from repro.errors import PhysicalMemoryError
 
 

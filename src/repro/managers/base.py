@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
+from repro.contracts import NULL_JOURNAL
 from repro.core.api import (
     FrameDemand,
     FrameGrant,
@@ -37,7 +38,6 @@ from repro.core.flags import PageFlags
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import Segment
 from repro.errors import ManagerError, OutOfFramesError
-from repro.recovery.journal import NULL_JOURNAL
 from repro.spcm.spcm import FrameRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -8,7 +8,7 @@ auditor (:mod:`repro.recovery.auditor`).
 
 from repro.recovery.auditor import Discrepancy, RecoveryAuditor
 from repro.recovery.checkpoint import Checkpoint, CheckpointStore
-from repro.recovery.journal import NULL_JOURNAL, NullJournal, RecoveryJournal
+from repro.recovery.journal import RecoveryJournal
 from repro.recovery.restart import (
     RecoveryCoordinator,
     RestartReport,
@@ -16,8 +16,6 @@ from repro.recovery.restart import (
 )
 
 __all__ = [
-    "NULL_JOURNAL",
-    "NullJournal",
     "RecoveryJournal",
     "Checkpoint",
     "CheckpointStore",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.chaos.invariants import InvariantChecker
 from repro.errors import RecoveryError
 
 
@@ -93,8 +94,6 @@ class RecoveryAuditor:
             )
         # the repaired state must be globally consistent --- reuse the
         # chaos invariant sweep as the recovery acceptance test
-        from repro.chaos.invariants import InvariantChecker
-
         InvariantChecker(self.kernel, self.spcm).check_all()
         return found
 

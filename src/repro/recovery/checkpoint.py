@@ -8,7 +8,7 @@ synchronously inside the hook, a checkpoint stored at journal position
 ``P`` is exactly the state produced by applying records ``[0, P)`` ---
 warm restart restores the checkpoint and replays only the suffix.
 
-Checkpoints reuse the :func:`repro.verify.digest.canonical_encode`
+Checkpoints reuse the :func:`repro.contracts.canonical_encode`
 canonical form and carry their own CRC-32, so a corrupted checkpoint
 (the ``checkpoint_corrupt`` chaos choke point) is *detected* at restore
 time and the store falls back to the previous generation --- a longer
@@ -21,8 +21,8 @@ import json
 import zlib
 from dataclasses import dataclass
 
+from repro.contracts import canonical_encode
 from repro.errors import JournalCorruptionError
-from repro.verify.digest import canonical_encode
 
 
 @dataclass

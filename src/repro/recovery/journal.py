@@ -8,7 +8,7 @@ kernel/SPCM/arbiter ground-truth records (bindings, grants, loans, quota
 changes) the recovery auditor cross-checks against.
 
 Framing is ``[length:4][crc32:4][payload]`` per record, payload being the
-:func:`repro.verify.digest.canonical_encode` of a plain-data dict.  A
+:func:`repro.contracts.canonical_encode` of a plain-data dict.  A
 torn tail (a crash mid-append, or the chaos injector's ``journal_tear``)
 is *detected* by the framing --- a short or CRC-mismatching frame stops
 decoding --- and truncated rather than replayed, exactly like a database
@@ -17,9 +17,9 @@ WAL discards its torn last page.
 Records are plain data on purpose: integers, strings, and lists only, so
 ``canonical_encode`` round-trips through ``json.loads`` untouched.
 
-:data:`NULL_JOURNAL` is the zero-overhead off mode, following the
-``NULL_TRACER``/``NULL_INJECTOR`` discipline: every append site guards on
-``journal.enabled``, so an un-instrumented run allocates nothing.
+The zero-overhead off mode, :data:`repro.contracts.NULL_JOURNAL`, lives
+in the leaf contracts module beside ``NULL_INJECTOR``, so the kernel,
+SPCM and managers that hold it never import this package.
 """
 
 from __future__ import annotations
@@ -28,30 +28,10 @@ import json
 import struct
 import zlib
 
-from repro.verify.digest import canonical_encode
+from repro.contracts import canonical_encode
 
 #: one record frame: payload length, then the payload's CRC-32
 FRAME_HEADER = struct.Struct(">II")
-
-
-class NullJournal:
-    """The do-nothing journal installed when recovery is off."""
-
-    __slots__ = ()
-
-    enabled = False
-    position = 0
-
-    def append(self, kind: str, manager: str | None = None, **fields) -> int:
-        """Discard the record (recovery is off); always position 0."""
-        return 0
-
-    def on_append(self, hook) -> None:
-        """Ignore the hook --- nothing is ever appended."""
-
-
-#: the shared no-op instance (kernel/SPCM/manager default)
-NULL_JOURNAL = NullJournal()
 
 
 class RecoveryJournal:

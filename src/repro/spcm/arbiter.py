@@ -21,7 +21,7 @@ thin and global has to keep the shards honest with each other:
 
 from __future__ import annotations
 
-from repro.recovery.journal import NULL_JOURNAL
+from repro.contracts import NULL_JOURNAL
 from repro.spcm.market import MemoryMarket
 
 

@@ -14,7 +14,7 @@ Because the machine's physical address space is partitioned into
 contiguous per-node ranges and boot pages are laid out in
 physical-address order, concatenating the buckets in node order yields
 the exact ascending page order the flat list had.  External readers
-(the invariant checker, the audit CLI, the verify digest) treat the
+(the invariant checker, the verify digest) treat the
 free list as an iterable of page indices with ``append`` / ``remove`` /
 ``in`` / ``len``; that contract is preserved, so the state digest over
 the free pool is unchanged by the refactor.
@@ -127,10 +127,6 @@ class NodeBucketedFreeList:
         return f"NodeBucketedFreeList({list(self)!r})"
 
     # -- bucketed fast paths -------------------------------------------------
-
-    def count_on_node(self, node: int) -> int:
-        """Free pages currently homed on ``node``."""
-        return len(self._buckets[node])
 
     def counts_by_node(self) -> dict[int, int]:
         """``node -> free page count`` without touching frame state."""

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.contracts import NULL_JOURNAL
 from repro.core.api import (
     BatchMigratePagesRequest,
     FrameDemand,
@@ -41,7 +42,6 @@ from repro.core.manager_api import SegmentManager
 from repro.core.segment import Segment
 from repro.errors import AllocationRefusedError, SPCMError
 from repro.hw.numa import NumaTopology
-from repro.recovery.journal import NULL_JOURNAL
 from repro.spcm.arbiter import GlobalArbiter
 from repro.spcm.freelist import NodeBucketedFreeList
 from repro.spcm.market import MemoryMarket

@@ -19,7 +19,6 @@ from repro.verify.digest import (
     DIGEST_VERSION,
     DigestChain,
     Divergence,
-    canonical_encode,
     digest_payload,
     require_digest_version,
     snapshot_state,
@@ -39,7 +38,6 @@ __all__ = [
     "NAMED_SCHEDULES",
     "Region",
     "WorkloadSchedule",
-    "canonical_encode",
     "digest_payload",
     "fill_bytes",
     "require_digest_version",

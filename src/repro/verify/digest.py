@@ -29,40 +29,15 @@ bit-for-bit, so exact encoding is safe and lossless.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
+from repro.contracts import canonical_encode
 from repro.errors import DigestVersionError
 
 #: Version of the canonical state encoding.  Bump whenever the encoding
 #: (or the set of state it covers) changes; recorded chains and corpus
 #: entries from other versions are rejected, never silently compared.
 DIGEST_VERSION = 1
-
-
-def canonical_encode(value) -> str:
-    """A deterministic string encoding of nested plain data.
-
-    dicts are key-sorted, floats repr-encoded, bytes hex-encoded; tuples
-    and lists are equivalent.  Raises ``TypeError`` for types without a
-    canonical form (sets, arbitrary objects) --- digest payloads must be
-    built from plain data on purpose.
-    """
-    return json.dumps(_canonical(value), sort_keys=True, separators=(",", ":"))
-
-
-def _canonical(value):
-    if isinstance(value, float):
-        return f"f:{value!r}"
-    if isinstance(value, (bytes, bytearray)):
-        return f"b:{bytes(value).hex()}"
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    raise TypeError(f"no canonical encoding for {type(value).__name__}")
 
 
 def digest_payload(payload) -> str:

@@ -17,18 +17,10 @@ import os
 import pytest
 
 from repro import build_system
-from repro.chaos import (
-    ChaosPlan,
-    Injector,
-    InvariantChecker,
-    IPCFailureMode,
-    ManagerFailureMode,
-    NULL_INJECTOR,
-    SCENARIOS,
-    run_schedule,
-    run_seed_matrix,
-)
+from repro.chaos import ChaosPlan, Injector, InvariantChecker
 from repro.chaos.cli import main as chaos_main
+from repro.chaos.harness import SCENARIOS, run_schedule, run_seed_matrix
+from repro.contracts import NULL_INJECTOR, IPCFailureMode, ManagerFailureMode
 from repro.core.kernel import (
     FAILOVER_AFTER_ATTEMPTS,
     IPC_MAX_REDELIVERIES,
@@ -567,8 +559,12 @@ class TestInvariantChecker:
         checker = InvariantChecker(kernel)
         with pytest.raises(InvariantViolationError, match="lost"):
             checker.check_all()
-        (message,) = checker.violations()
-        assert f"pfn={frame.pfn}" in message
+        # one message per violation: the lost frame, then the TLB and
+        # page-table entries still caching it
+        lost, tlb, page_table = checker.violations()
+        assert lost.startswith(f"frame pfn={frame.pfn} lost")
+        assert tlb.startswith(f"TLB entry space {seg.seg_id} vpn 0")
+        assert page_table.startswith(f"page table entry space {seg.seg_id}")
 
     def test_corrupt_back_pointer_is_caught(self, system):
         kernel = system.kernel

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import build_system
+from repro.contracts import canonical_encode
 from repro.errors import DigestVersionError
 from repro.verify import (
     DIGEST_VERSION,
     DigestChain,
-    canonical_encode,
     digest_payload,
     require_digest_version,
     snapshot_state,

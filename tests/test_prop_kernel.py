@@ -17,6 +17,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.chaos.invariants import InvariantChecker
 from repro.core.api import MigratePagesRequest
 from repro.core.kernel import Kernel
 from repro.errors import KernelError, OutOfFramesError
@@ -111,11 +112,7 @@ class KernelMachine(RuleBasedStateMachine):
 
     @invariant()
     def full_audit_passes(self):
-        from repro.analysis.audit import audit_kernel, audit_manager
-
-        report = audit_kernel(self.kernel)
-        audit_manager(self.manager, report)
-        assert report.ok, report.findings
+        assert InvariantChecker(self.kernel).violations() == []
 
     @invariant()
     def owner_backrefs_consistent(self):

@@ -11,7 +11,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.analysis.audit import audit_kernel, audit_manager, audit_spcm
+from repro.chaos.invariants import InvariantChecker
 from repro.core.kernel import Kernel
 from repro.hw.phys_mem import PhysicalMemory
 from repro.managers.base import GenericSegmentManager
@@ -99,11 +99,7 @@ class SPCMMachine(RuleBasedStateMachine):
 
     @invariant()
     def audits_pass(self):
-        report = audit_kernel(self.kernel)
-        audit_spcm(self.spcm, report)
-        for manager in self.managers:
-            audit_manager(manager, report)
-        assert report.ok, report.findings
+        assert InvariantChecker(self.kernel, self.spcm).violations() == []
 
 
 TestSPCMMachine = SPCMMachine.TestCase

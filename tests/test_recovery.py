@@ -16,6 +16,7 @@ import pytest
 from repro.chaos import ChaosPlan, Injector
 from repro.chaos.harness import run_schedule
 from repro.chaos.invariants import InvariantChecker
+from repro.contracts import NULL_JOURNAL
 from repro.errors import (
     JournalCorruptionError,
     ManagerCrashError,
@@ -23,12 +24,7 @@ from repro.errors import (
     UIOError,
 )
 from repro.managers.default_manager import DefaultSegmentManager
-from repro.recovery import (
-    CheckpointStore,
-    NULL_JOURNAL,
-    RecoveryJournal,
-    install_recovery,
-)
+from repro.recovery import CheckpointStore, RecoveryJournal, install_recovery
 from repro.verify.digest import digest_payload
 from repro.verify.recovery import recovery_snapshot, run_recovery_gate
 

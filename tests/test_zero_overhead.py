@@ -1,13 +1,13 @@
 """The zero-overhead contract of the disabled observability hooks.
 
-With :data:`NULL_TRACER`, :data:`NULL_INJECTOR` and no kernel listeners
-installed (the benchmarked configuration), the fault path must not
-allocate a single block on behalf of tracing or injection --- the null
-objects hand out shared singletons and every hook site is guarded by an
-``enabled`` flag.  These tests pin that contract with tracemalloc so an
-accidental allocation on the hot path (a span record built before the
-``enabled`` check, an f-string in a guard) fails CI rather than quietly
-taxing every benchmark.
+With :data:`NULL_TRACER`, :data:`NULL_INJECTOR`, :data:`NULL_JOURNAL` and
+no kernel listeners installed (the benchmarked configuration), the fault
+path must not allocate a single block on behalf of tracing, injection or
+journaling --- the null objects hand out shared singletons and every hook
+site is guarded by an ``enabled`` flag.  These tests pin that contract
+with tracemalloc so an accidental allocation on the hot path (a span
+record built before the ``enabled`` check, an f-string in a guard) fails
+CI rather than quietly taxing every benchmark.
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 import tracemalloc
 
 import repro.chaos.injector as injector_mod
+import repro.contracts as contracts_mod
 import repro.obs.records as records_mod
 import repro.obs.trace as trace_mod
-from repro.chaos.injector import NULL_INJECTOR
+from repro.contracts import NULL_INJECTOR, NULL_JOURNAL
 from repro.obs.trace import NULL_TRACER
 from repro.verify.oracle import build_vpp_system, drive_vpp
 from repro.verify.schedule import figure2_schedule
@@ -27,6 +28,7 @@ _OBSERVABILITY_FILES = (
     trace_mod.__file__,
     records_mod.__file__,
     injector_mod.__file__,
+    contracts_mod.__file__,
 )
 
 
@@ -50,12 +52,13 @@ class TestNullSingletons:
     def test_null_objects_read_disabled(self):
         assert NULL_TRACER.enabled is False
         assert NULL_INJECTOR.enabled is False
+        assert NULL_JOURNAL.enabled is False
 
 
 class TestFaultPathAllocations:
     def test_serviced_faults_allocate_nothing_for_tracing(self):
         """A full Figure-2 drive with the nulls installed retains zero
-        blocks from the trace, record, or injector modules."""
+        blocks from the trace, record, injector, or contracts modules."""
         schedule = figure2_schedule()
         # warm-up drive: fills import-time and memoization caches so the
         # measured drive sees only steady-state fault-path allocations
@@ -66,6 +69,7 @@ class TestFaultPathAllocations:
         kernel = system.kernel
         assert kernel.tracer is NULL_TRACER
         assert kernel.injector is NULL_INJECTOR
+        assert kernel.journal is NULL_JOURNAL
         assert not kernel._fault_listeners
         assert not kernel._fault_step_listeners
         assert not kernel._failover_listeners
