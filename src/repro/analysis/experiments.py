@@ -228,10 +228,11 @@ def figure1_address_space() -> str:
 # ---------------------------------------------------------------------------
 
 
-def figure2_fault_trace() -> FaultTrace:
-    """Reproduce the Figure-2 sequence: fault, manager fetch from the file
-    server, migrate, resume --- with the cost of each step."""
-    system = build_system(memory_mb=16)
+def figure2_scene(tracer=None):
+    """The Figure-2 scene: a 16 MB machine with a cached file bound into
+    an address space under the default manager; returns ``(system, space)``
+    ready for the fault on page 0."""
+    system = build_system(memory_mb=16, tracer=tracer)
     kernel = system.kernel
     file_seg = kernel.create_segment(
         0, name="fig2-file", manager=system.default_manager, auto_grow=True
@@ -239,6 +240,14 @@ def figure2_fault_trace() -> FaultTrace:
     system.file_server.create_file(file_seg, data=b"fig2" * 2048)
     space = kernel.create_segment(8, name="fig2-space")
     space.bind(0, 2, file_seg, 0)
+    return system, space
+
+
+def figure2_fault_trace() -> FaultTrace:
+    """Reproduce the Figure-2 sequence: fault, manager fetch from the file
+    server, migrate, resume --- with the cost of each step."""
+    system, space = figure2_scene()
+    kernel = system.kernel
     trace = FaultTrace()
     kernel.trace = trace
     kernel.reference(space, 0, write=False)

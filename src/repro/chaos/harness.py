@@ -1,8 +1,9 @@
 """Chaos scenarios: seeded fault schedules against real workloads.
 
 A *scenario* pairs a :class:`~repro.chaos.plan.ChaosPlan` template with a
-workload (the Figure-2 fault path, a Table-2 style application, the
-Table-4 DBMS configuration).  :func:`run_schedule` boots a fresh system,
+workload from :data:`repro.verify.workloads.REGISTRY` (the Figure-2 fault
+path, a Table-2 style application, a tenant fleet) or the Table-4 DBMS
+configuration.  :func:`run_schedule` boots the workload's fresh system,
 installs an :class:`~repro.chaos.injector.Injector` with the scenario's
 plan reseeded, hooks the :class:`~repro.chaos.invariants.InvariantChecker`
 to run after every injected event, executes the workload, and reports a
@@ -17,15 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro import build_system
 from repro.chaos.injector import Injector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
 from repro.errors import ChaosError, InvariantViolationError, ReproError
-
-#: the application manager every manager-directed scenario injects into
-#: (the kernel's fallback --- the real default manager --- stays exempt)
-VICTIM_MANAGER = "victim-ucds"
+from repro.verify.workloads import REGISTRY, SERVE_TENANTS, VICTIM_MANAGER
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,9 @@ class Scenario:
     name: str
     description: str
     plan: ChaosPlan
-    workload: str  # key into _WORKLOADS
+    #: a :data:`~repro.verify.workloads.REGISTRY` name, or ``dbms`` (the
+    #: kernel-less Table-4 run)
+    workload: str
     #: install the warm-restart coordinator (recovery journal +
     #: checkpoints) before running; crashes then retry a restart
     #: before the kernel falls over to the fallback manager
@@ -93,192 +92,6 @@ class ChaosResult:
         return int(self.recovery_stats.get("cold_fallbacks", 0))
 
 
-# ---------------------------------------------------------------------------
-# workloads
-# ---------------------------------------------------------------------------
-
-
-def build_workload_system(tracer=None, n_nodes=None):
-    """The small system every chaos/verify workload runs against.
-
-    Public because the determinism gate (:mod:`repro.verify.determinism`)
-    re-runs these exact workloads under its digest recorder and must boot
-    the identical machine.
-    """
-    return build_system(
-        memory_mb=4, manager_frames=64, tracer=tracer, n_nodes=n_nodes
-    )
-
-
-# back-compat alias (pre-verify name)
-_build = build_workload_system
-
-
-def _make_victim(system):
-    """A second UCDS instance for the injector to break.
-
-    Starts with no frame stock so a failover seizes nothing resident ---
-    the interesting state (the faulted-in pages) moves by adoption.
-    """
-    from repro.managers.default_manager import DefaultSegmentManager
-
-    return DefaultSegmentManager(
-        system.kernel,
-        system.spcm,
-        system.file_server,
-        initial_frames=0,
-        name=VICTIM_MANAGER,
-    )
-
-
-def _workload_figure2(system, checker) -> int:
-    """The Figure-2 fault path, repeated: fault cached-file pages in
-    through a victim manager that injection may crash, hang, or corrupt."""
-    kernel = system.kernel
-    victim = _make_victim(system)
-    n_pages = 21
-    file_seg = kernel.create_segment(
-        0, name="chaos-file", manager=victim, auto_grow=True
-    )
-    system.file_server.create_file(
-        file_seg, data=b"fig2" * (n_pages * file_seg.page_size // 4)
-    )
-    space = kernel.create_segment(n_pages, name="chaos-space")
-    space.bind(0, n_pages, file_seg, 0)
-    refs = 0
-    for page in range(n_pages):
-        kernel.reference(space, page * space.page_size, write=False)
-        refs += 1
-    checker.check_all()
-    return refs
-
-
-def _workload_ecc(system, checker) -> int:
-    """Anonymous memory under ECC failures: frames retire, pages refault."""
-    kernel = system.kernel
-    seg = kernel.create_segment(
-        16, name="chaos-anon", manager=system.default_manager
-    )
-    refs = 0
-    for sweep in range(4):
-        for page in range(seg.n_pages):
-            kernel.reference(seg, page * seg.page_size, write=(sweep % 2 == 0))
-            refs += 1
-    checker.check_all()
-    return refs
-
-
-def _workload_disk(system, checker) -> int:
-    """UIO traffic under transient disk errors and latency spikes."""
-    kernel = system.kernel
-    victim = _make_victim(system)
-    seg = kernel.create_segment(
-        0, name="chaos-io", manager=victim, auto_grow=True
-    )
-    page = seg.page_size
-    system.file_server.create_file(seg, data=b"io" * (8 * page // 2))
-    refs = 0
-    for rep in range(3):
-        system.uio.read(seg, 0, 8 * page)
-        system.uio.write(seg, (8 + rep) * page, b"w" * page)
-        refs += 9
-        # push the cached pages out so the next sweep re-fetches from disk
-        victim.reclaim_pages(8)
-    checker.check_all()
-    return refs
-
-
-def _workload_apps(system, checker) -> int:
-    """A Table-2 style application (diff): regions via a victim manager,
-    file I/O via the default manager, under the scenario's injection."""
-    from repro.workloads.apps import diff_model
-    from repro.workloads.traces import (
-        ReadFileSeq,
-        TouchRegion,
-        WriteFileSeq,
-    )
-
-    kernel = system.kernel
-    victim = _make_victim(system)
-    app = diff_model()
-    scale = 8  # trim file sizes; the fault *path* is what chaos exercises
-    regions = {
-        name: kernel.create_segment(
-            pages, name=f"chaos.{name}", manager=victim
-        )
-        for name, pages in app.regions.items()
-    }
-    files = {}
-    for name, size in app.input_files.items():
-        seg = kernel.create_segment(
-            0, name=name, manager=system.default_manager, auto_grow=True
-        )
-        system.file_server.create_file(seg, data=b"a" * (size // scale))
-        files[name] = seg
-    refs = 0
-    for event in app.trace:
-        if isinstance(event, TouchRegion):
-            seg = regions[event.region]
-            for page in range(event.start_page, event.start_page + event.n_pages):
-                kernel.reference(seg, page * seg.page_size, write=event.write)
-                refs += 1
-        elif isinstance(event, ReadFileSeq):
-            seg = files[event.name]
-            system.uio.read(seg, event.offset, event.n_bytes // scale)
-        elif isinstance(event, WriteFileSeq):
-            if event.name not in files:
-                seg = kernel.create_segment(
-                    0,
-                    name=event.name,
-                    manager=system.default_manager,
-                    auto_grow=True,
-                )
-                system.file_server.create_file(seg)
-                files[event.name] = seg
-            seg = files[event.name]
-            n = event.n_bytes // scale
-            system.uio.write(seg, event.offset, b"w" * n)
-        # OpenFile/CloseFile/Compute carry no chaos-relevant work here
-    checker.check_all()
-    return refs
-
-
-#: the tenant fleet the serving workloads admit (manager names match the
-#: tenant names, so scenarios can target them for injection)
-SERVE_TENANTS = ("tenant-0", "tenant-1", "tenant-2", "tenant-3")
-
-
-def _serve(system, checker, quota_frames: int) -> int:
-    from repro.serve.loadgen import admit_fleet, run_load
-    from repro.serve.tenants import ServingSystem
-
-    serving = ServingSystem(system, seed=7, rate_per_s=10_000.0)
-    admit_fleet(
-        serving,
-        len(SERVE_TENANTS),
-        working_set_pages=8,
-        quota_frames=quota_frames,
-    )
-    serviced = run_load(serving, duration_us=10_000.0)
-    checker.check_all()
-    return serviced
-
-
-def _workload_serve(system, checker) -> int:
-    """Four quota'd tenants served closed-loop while injection crashes
-    and hangs their managers; batched service must degrade per-item
-    (typed errors booked on the session), never corrupt frame or quota
-    accounting."""
-    return _serve(system, checker, quota_frames=8)
-
-
-def _workload_serve_thrash(system, checker) -> int:
-    """The same fleet under quotas tighter than the working set, so
-    every tenant recycles its own residents continuously while faults
-    land --- the quota-conservation sweep runs hot the whole time."""
-    return _serve(system, checker, quota_frames=4)
-
-
 def _run_dbms(plan: ChaosPlan) -> ChaosResult:
     """Table-4 DBMS run (index-with-paging) under mild disk-error
     injection; no kernel in the loop, so no invariant checker."""
@@ -306,21 +119,6 @@ def _run_dbms(plan: ChaosPlan) -> ChaosResult:
     )
 
 
-#: workload name -> ``fn(system, checker) -> references`` (public: the
-#: verify determinism gate replays these under its digest recorder)
-WORKLOADS = {
-    "figure2": _workload_figure2,
-    "ecc": _workload_ecc,
-    "disk": _workload_disk,
-    "apps": _workload_apps,
-    "serve": _workload_serve,
-    "serve-thrash": _workload_serve_thrash,
-}
-
-# back-compat alias (pre-verify name)
-_WORKLOADS = WORKLOADS
-
-
 SCENARIOS: dict[str, Scenario] = {
     s.name: s
     for s in (
@@ -330,7 +128,7 @@ SCENARIOS: dict[str, Scenario] = {
             ChaosPlan(
                 manager_crash_rate=0.5, target_managers=(VICTIM_MANAGER,)
             ),
-            "figure2",
+            "figure2-victim",
         ),
         Scenario(
             "figure2-hang",
@@ -338,7 +136,7 @@ SCENARIOS: dict[str, Scenario] = {
             ChaosPlan(
                 manager_hang_rate=0.5, target_managers=(VICTIM_MANAGER,)
             ),
-            "figure2",
+            "figure2-victim",
         ),
         Scenario(
             "figure2-byzantine",
@@ -348,7 +146,7 @@ SCENARIOS: dict[str, Scenario] = {
                 manager_byzantine_rate=0.6,
                 target_managers=(VICTIM_MANAGER,),
             ),
-            "figure2",
+            "figure2-victim",
         ),
         Scenario(
             "figure2-alloc-crash",
@@ -357,7 +155,7 @@ SCENARIOS: dict[str, Scenario] = {
                 manager_alloc_crash_rate=0.4,
                 target_managers=(VICTIM_MANAGER,),
             ),
-            "figure2",
+            "figure2-victim",
         ),
         Scenario(
             "ipc",
@@ -367,7 +165,7 @@ SCENARIOS: dict[str, Scenario] = {
                 ipc_duplicate_rate=0.25,
                 target_managers=(VICTIM_MANAGER,),
             ),
-            "figure2",
+            "figure2-victim",
         ),
         Scenario(
             "disk-flaky",
@@ -432,7 +230,7 @@ SCENARIOS: dict[str, Scenario] = {
             ChaosPlan(
                 manager_crash_rate=0.5, target_managers=(VICTIM_MANAGER,)
             ),
-            "figure2",
+            "figure2-victim",
             recovery=True,
         ),
         Scenario(
@@ -445,7 +243,7 @@ SCENARIOS: dict[str, Scenario] = {
                 journal_tear_rate=0.8,
                 target_managers=(VICTIM_MANAGER,),
             ),
-            "figure2",
+            "figure2-victim",
             recovery=True,
         ),
         Scenario(
@@ -457,7 +255,7 @@ SCENARIOS: dict[str, Scenario] = {
                 manager_crash_rate=0.85,
                 target_managers=(VICTIM_MANAGER,),
             ),
-            "figure2",
+            "figure2-victim",
             recovery=True,
         ),
         Scenario(
@@ -470,7 +268,7 @@ SCENARIOS: dict[str, Scenario] = {
                 checkpoint_corrupt_rate=0.5,
                 target_managers=(VICTIM_MANAGER,),
             ),
-            "figure2",
+            "figure2-victim",
             recovery=True,
         ),
         Scenario(
@@ -536,7 +334,7 @@ def run_schedule(
     if spec.workload == "dbms":
         return _run_dbms(effective)
 
-    system = _build(tracer=tracer, n_nodes=n_nodes)
+    system, drive = REGISTRY[spec.workload].boot(n_nodes, tracer)
     injector = Injector(effective, tracer=system.tracer)
     injector.install(system)
     coordinator = None
@@ -561,7 +359,7 @@ def run_schedule(
         )
     result = ChaosResult(scenario=scenario, seed=seed, completed=False)
     try:
-        result.references = _WORKLOADS[spec.workload](system, checker)
+        result.references = drive(checker)
         result.completed = True
     except InvariantViolationError:
         raise

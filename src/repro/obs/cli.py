@@ -34,16 +34,10 @@ TARGETS = ("figure2", "table1")
 
 def _trace_figure2(tracer: Tracer) -> str:
     """Run one Figure-2 fault under ``tracer``; returns the report text."""
-    from repro import build_system
+    from repro.analysis.experiments import figure2_scene
 
-    system = build_system(memory_mb=16, tracer=tracer)
+    system, space = figure2_scene(tracer)
     kernel = system.kernel
-    file_seg = kernel.create_segment(
-        0, name="fig2-file", manager=system.default_manager, auto_grow=True
-    )
-    system.file_server.create_file(file_seg, data=b"fig2" * 2048)
-    space = kernel.create_segment(8, name="fig2-space")
-    space.bind(0, 2, file_seg, 0)
     tracer.reset()  # drop boot-time spans; trace just the fault
     before = kernel.meter.total_us
     kernel.reference(space, 0, write=False)

@@ -6,8 +6,8 @@ substream) before the next --- a shed reschedules the *same* reference at
 exactly the shed's ``retry_after_us`` horizon, so backpressure shapes the
 offered load the way a real client obeying Retry-After would.  A periodic
 pump flushes the batch scheduler.  Everything is a pure function of the
-serving seed: the run-twice determinism gate drives these schedules
-unchanged via :data:`SERVING_SCHEDULES`.
+serving seed: the serving workloads of :mod:`repro.verify.workloads`
+drive it unchanged under the run-twice determinism gate.
 """
 
 from __future__ import annotations
@@ -99,46 +99,3 @@ def admit_fleet(
         if result.admitted:
             sessions.append(serving.sessions[tenant])
     return sessions
-
-
-# ---------------------------------------------------------------------------
-# named serving schedules (the determinism gate and CI drive these)
-# ---------------------------------------------------------------------------
-
-
-def _serve_schedule(
-    n_tenants: int,
-    duration_us: float,
-    quota_frames: int | None,
-    seed: int,
-    rate_per_s: float = 20_000.0,
-):
-    """A ``fn(system, checker) -> refs`` workload over a booted system."""
-
-    def workload(system, checker) -> int:
-        serving = ServingSystem(system, seed=seed, rate_per_s=rate_per_s)
-        admit_fleet(
-            serving,
-            n_tenants,
-            working_set_pages=8,
-            quota_frames=quota_frames,
-        )
-        serviced = run_load(serving, duration_us)
-        if checker is not None:
-            checker.check_all()
-        return serviced
-
-    workload.__name__ = f"serve_{n_tenants}t"
-    return workload
-
-
-#: name -> ``fn(system, checker) -> refs``, resolvable by
-#: ``python -m repro verify determinism --workload <name>``
-SERVING_SCHEDULES = {
-    "serve-smoke": _serve_schedule(
-        n_tenants=4, duration_us=20_000.0, quota_frames=16, seed=42
-    ),
-    "serve-64x2": _serve_schedule(
-        n_tenants=64, duration_us=40_000.0, quota_frames=8, seed=42
-    ),
-}

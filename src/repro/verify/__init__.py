@@ -1,7 +1,9 @@
 """The conformance and determinism harness.
 
-Four layers, each usable on its own:
+Five layers, each usable on its own:
 
+* :mod:`repro.verify.workloads` --- the one registry of named workloads
+  every gate (and every chaos scenario) resolves;
 * :mod:`repro.verify.digest` --- canonical state digests and per-fault
   digest chains (versioned; cross-version comparison fails loudly);
 * :mod:`repro.verify.determinism` --- the run-twice gate: same seeds,
@@ -12,7 +14,7 @@ Four layers, each usable on its own:
 * :mod:`repro.verify.fuzz` --- a seeded coverage-guided schedule fuzzer
   over both gates, with shrinking and a replayable corpus.
 
-CLI: ``python -m repro verify {determinism,oracle,fuzz,replay}``.
+CLI: ``python -m repro verify {determinism,oracle,fuzz,replay,recovery}``.
 """
 
 from repro.verify.digest import (
@@ -25,7 +27,6 @@ from repro.verify.digest import (
     state_digest,
 )
 from repro.verify.schedule import (
-    NAMED_SCHEDULES,
     Region,
     WorkloadSchedule,
     fill_bytes,
@@ -35,7 +36,6 @@ __all__ = [
     "DIGEST_VERSION",
     "DigestChain",
     "Divergence",
-    "NAMED_SCHEDULES",
     "Region",
     "WorkloadSchedule",
     "digest_payload",

@@ -26,9 +26,14 @@ import sys
 from pathlib import Path
 
 from repro.errors import VerificationError
+from repro.verify.workloads import REGISTRY
 
 #: the not-comparable exit code (mirrors repro bench diff)
 EXIT_INCOMPARABLE = 2
+
+#: the registry names, for the ``--workload`` / ``--schedule`` help
+_NAMES = ", ".join(REGISTRY)
+_DECLARATIVE = ", ".join(name for name, w in REGISTRY.items() if w.schedule)
 
 
 def _add_determinism(sub) -> None:
@@ -38,9 +43,8 @@ def _add_determinism(sub) -> None:
     )
     p.add_argument(
         "--workload",
-        default="figure2",
-        help="chaos workload (figure2/ecc/disk/apps), reference schedule "
-        "(table1), or a corpus schedule JSON path",
+        default="figure2-victim",
+        help=f"registry workload ({_NAMES}) or a corpus schedule JSON path",
     )
     p.add_argument(
         "--nodes", type=int, default=None,
@@ -56,13 +60,8 @@ def _add_determinism(sub) -> None:
 def _cmd_determinism(args) -> int:
     from repro.verify.determinism import run_twice
 
-    workload = args.workload
-    if workload.endswith(".json"):
-        from repro.verify.schedule import WorkloadSchedule
-
-        workload = WorkloadSchedule.load(workload)
     report = run_twice(
-        workload, nodes=args.nodes, chaos_seed=args.chaos_seed
+        args.workload, nodes=args.nodes, chaos_seed=args.chaos_seed
     )
     print(report.render())
     return 0 if report.ok else 1
@@ -76,7 +75,7 @@ def _add_oracle(sub) -> None:
     p.add_argument(
         "--schedule",
         default="figure2",
-        help="reference schedule name (figure2/table1) or a JSON path",
+        help=f"declarative workload ({_DECLARATIVE}) or a schedule JSON path",
     )
     p.add_argument(
         "--manager",
@@ -87,24 +86,17 @@ def _add_oracle(sub) -> None:
 
 
 def _cmd_oracle(args) -> int:
-    from repro.verify.oracle import check_equivalence, named_schedule
-    from repro.verify.schedule import MANAGER_KINDS, WorkloadSchedule
+    from repro.verify.oracle import check_equivalence
+    from repro.verify.schedule import MANAGER_KINDS
+    from repro.verify.workloads import resolve
 
-    managers = (
-        list(MANAGER_KINDS) if args.manager == "all" else [args.manager]
-    )
+    entry = resolve(args.schedule)
+    managers = MANAGER_KINDS if args.manager == "all" else (args.manager,)
     failed = False
     for manager in managers:
-        if args.schedule.endswith(".json"):
-            schedule = WorkloadSchedule.load(args.schedule)
-            schedule.manager = manager if args.manager != "all" else schedule.manager
-        else:
-            schedule = named_schedule(args.schedule, manager=manager)
-        report = check_equivalence(schedule)
+        report = check_equivalence(entry.oracle_schedule(manager))
         print(report.render())
         failed = failed or not report.ok
-        if args.schedule.endswith(".json") and args.manager == "all":
-            break  # a recorded schedule carries its own manager kind
     return 1 if failed else 0
 
 
@@ -177,7 +169,7 @@ def _add_recovery(sub) -> None:
     p.add_argument(
         "--workload",
         default="all",
-        help="chaos workload or serving schedule name (default: all)",
+        help=f"registry workload ({_NAMES}; default: all)",
     )
     p.add_argument(
         "--nodes", type=int, default=None,
@@ -191,21 +183,13 @@ def _add_recovery(sub) -> None:
 
 
 def _cmd_recovery(args) -> int:
-    from repro.verify.recovery import (
-        run_recovery_gate,
-        run_recovery_gate_all,
-    )
+    from repro.verify.recovery import run_recovery_gate
 
-    if args.workload == "all":
-        reports = run_recovery_gate_all(
-            nodes=args.nodes, chaos_seed=args.chaos_seed
-        )
-    else:
-        reports = [
-            run_recovery_gate(
-                args.workload, nodes=args.nodes, chaos_seed=args.chaos_seed
-            )
-        ]
+    names = list(REGISTRY) if args.workload == "all" else [args.workload]
+    reports = [
+        run_recovery_gate(name, nodes=args.nodes, chaos_seed=args.chaos_seed)
+        for name in names
+    ]
     for report in reports:
         print(report.render())
     return 0 if all(r.ok for r in reports) else 1

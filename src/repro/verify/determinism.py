@@ -10,17 +10,13 @@ step; a mismatch is pinpointed to the **first divergent step** (the
 chain construction guarantees the first differing link is the first
 differing payload, not a downstream consequence).
 
-Workloads the gate can drive:
-
-* the chaos harness workloads (``figure2``, ``ecc``, ``disk``,
-  ``apps``) on the exact machine the chaos suite boots, optionally
-  under a seeded chaos plan against the victim manager;
-* the oracle's reference schedules (``table1``, or any
-  :class:`~repro.verify.schedule.WorkloadSchedule`, e.g. a corpus
-  entry) through the V++ executor;
-* any callable ``fn(system, checker) -> refs`` (tests inject a
-  deliberately nondeterministic manager this way to prove the gate
-  catches it).
+The gate drives anything :func:`repro.verify.workloads.resolve`
+accepts --- a registry name (each boots exactly the machine its chaos
+scenario or oracle run boots), a corpus schedule path, a
+:class:`~repro.verify.schedule.WorkloadSchedule`, or a callable
+``fn(system, checker) -> refs`` (tests inject a deliberately
+nondeterministic manager this way to prove the gate catches it) ---
+optionally under a seeded chaos plan against the victim manager.
 
 A typed :class:`~repro.errors.ReproError` stopping the workload is
 itself recorded as a chain step --- a run that fails the same way at the
@@ -31,18 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.chaos.harness import (
-    VICTIM_MANAGER,
-    WORKLOADS,
-    build_workload_system,
-)
 from repro.chaos.injector import Injector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
-from repro.errors import ReproError, VerificationError
+from repro.errors import ReproError
 from repro.verify.digest import DigestChain, Divergence, snapshot_state
-from repro.verify.oracle import build_vpp_system, drive_vpp
-from repro.verify.schedule import NAMED_SCHEDULES, WorkloadSchedule
+from repro.verify.workloads import VICTIM_MANAGER, Workload, resolve
 
 #: the mixed-fault plan ``--chaos-seed`` reseeds: manager crash/hang and
 #: IPC trouble at the victim manager, plus background disk errors
@@ -146,92 +136,30 @@ class DeterminismReport:
         return "\n".join(lines)
 
 
-def _resolve_workload(workload, nodes):
-    """Normalize the many accepted workload forms to a driver closure.
-
-    Returns ``(name, drive)`` where ``drive(chaos_seed, label)`` boots a
-    fresh system, records a chain, and returns a :class:`RunRecord`.
-    """
-    if isinstance(workload, WorkloadSchedule):
-        return workload.name, _schedule_driver(workload, nodes)
-    if callable(workload):
-        name = getattr(workload, "__name__", "custom")
-        return name, _chaos_driver(workload, nodes)
-    if workload in WORKLOADS:
-        # figure2 exists in both registries; the chaos workload wins
-        # (it is the one the chaos suite actually runs)
-        return workload, _chaos_driver(WORKLOADS[workload], nodes)
-    from repro.serve.loadgen import SERVING_SCHEDULES
-
-    if workload in SERVING_SCHEDULES:
-        return workload, _chaos_driver(SERVING_SCHEDULES[workload], nodes)
-    if workload in NAMED_SCHEDULES:
-        schedule = NAMED_SCHEDULES[workload](nodes=nodes)
-        return workload, _schedule_driver(schedule, nodes)
-    raise VerificationError(
-        f"unknown workload {workload!r}; have chaos workloads "
-        f"{sorted(WORKLOADS)}, serving schedules "
-        f"{sorted(SERVING_SCHEDULES)}, and schedules "
-        f"{sorted(NAMED_SCHEDULES)}"
+def _record(
+    entry: Workload, nodes: int | None, chaos_seed: int | None, label: str
+) -> RunRecord:
+    """Boot ``entry`` fresh, drive it, and chain every outermost fault."""
+    system, drive = entry.boot(nodes)
+    if chaos_seed is not None:
+        Injector(
+            replace(VERIFY_CHAOS_PLAN, seed=chaos_seed), tracer=system.tracer
+        ).install(system)
+    checker = InvariantChecker(system.kernel)
+    chain = DigestChain(
+        meta={"workload": entry.name, "nodes": nodes, "chaos_seed": chaos_seed}
     )
-
-
-def _install_chaos(system, chaos_seed) -> None:
-    if chaos_seed is None:
-        return
-    injector = Injector(
-        replace(VERIFY_CHAOS_PLAN, seed=chaos_seed), tracer=system.tracer
-    )
-    injector.install(system)
-
-
-def _chaos_driver(fn, nodes):
-    def drive(chaos_seed, label) -> RunRecord:
-        system = build_workload_system(n_nodes=nodes)
-        _install_chaos(system, chaos_seed)
-        checker = InvariantChecker(system.kernel)
-        chain = DigestChain(
-            meta={"workload": getattr(fn, "__name__", "custom"),
-                  "nodes": nodes, "chaos_seed": chaos_seed}
-        )
-        recorder = ChainRecorder(system, chain)
-        record = RunRecord(label=label, chain=chain)
-        try:
-            record.references = fn(system, checker)
-        except ReproError as exc:
-            # a typed failure is a legitimate, repeatable outcome; chain
-            # it so both runs must fail identically at the same point
-            record.error_type = type(exc).__name__
-            chain.append("error", [type(exc).__name__, str(exc)])
-        recorder.finalize()
-        return record
-
-    return drive
-
-
-def _schedule_driver(schedule: WorkloadSchedule, nodes):
-    if nodes is not None and schedule.nodes != nodes:
-        schedule = replace(schedule, nodes=nodes)
-
-    def drive(chaos_seed, label) -> RunRecord:
-        system, _manager, segments = build_vpp_system(schedule)
-        _install_chaos(system, chaos_seed)
-        chain = DigestChain(
-            meta={"workload": schedule.name, "nodes": schedule.nodes,
-                  "chaos_seed": chaos_seed}
-        )
-        recorder = ChainRecorder(system, chain)
-        record = RunRecord(label=label, chain=chain)
-        try:
-            drive_vpp(system, schedule, segments)
-            record.references = len(schedule.ops)
-        except ReproError as exc:
-            record.error_type = type(exc).__name__
-            chain.append("error", [type(exc).__name__, str(exc)])
-        recorder.finalize()
-        return record
-
-    return drive
+    recorder = ChainRecorder(system, chain)
+    record = RunRecord(label=label, chain=chain)
+    try:
+        record.references = drive(checker)
+    except ReproError as exc:
+        # a typed failure is a legitimate, repeatable outcome; chain it
+        # so both runs must fail identically at the same point
+        record.error_type = type(exc).__name__
+        chain.append("error", [type(exc).__name__, str(exc)])
+    recorder.finalize()
+    return record
 
 
 def run_twice(
@@ -240,12 +168,11 @@ def run_twice(
     chaos_seed: int | None = None,
 ) -> DeterminismReport:
     """Execute ``workload`` twice from identical inputs and diff chains."""
-    name, drive = _resolve_workload(workload, nodes)
+    entry = resolve(workload)
     report = DeterminismReport(
-        workload=name, nodes=nodes, chaos_seed=chaos_seed
+        workload=entry.name, nodes=nodes, chaos_seed=chaos_seed
     )
-    report.runs.append(drive(chaos_seed, "A"))
-    report.runs.append(drive(chaos_seed, "B"))
+    report.runs = [_record(entry, nodes, chaos_seed, label) for label in "AB"]
     report.divergence = report.runs[0].chain.first_divergence(
         report.runs[1].chain
     )

@@ -49,7 +49,6 @@ from repro.managers.dbms_manager import DBMSSegmentManager
 from repro.verify.schedule import (
     FILE,
     FILL_LEN,
-    NAMED_SCHEDULES,
     WorkloadSchedule,
     fill_bytes,
 )
@@ -522,14 +521,3 @@ def check_equivalence(
             continue
         _compare(report, schedule, reference, result)
     return report
-
-
-def named_schedule(name: str, manager: str = "default") -> WorkloadSchedule:
-    """One of the reference schedules, for a given manager kind."""
-    try:
-        builder = NAMED_SCHEDULES[name]
-    except KeyError:
-        raise VerificationError(
-            f"no schedule named {name!r}; have {sorted(NAMED_SCHEDULES)}"
-        ) from None
-    return builder(manager=manager)

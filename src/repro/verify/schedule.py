@@ -232,7 +232,7 @@ class WorkloadSchedule:
 
 
 # ---------------------------------------------------------------------------
-# the named reference schedules
+# the reference schedules (registered in repro.verify.workloads)
 # ---------------------------------------------------------------------------
 
 
@@ -290,10 +290,3 @@ def table1_schedule(manager: str = "default", nodes: int | None = None):
     return WorkloadSchedule(
         "table1", manager=manager, nodes=nodes, regions=regions, ops=ops
     ).validate()
-
-
-#: name -> builder for the reference schedules the gates run
-NAMED_SCHEDULES = {
-    "figure2": figure2_schedule,
-    "table1": table1_schedule,
-}

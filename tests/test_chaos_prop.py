@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import ChaosPlan, Injector
-from repro.chaos.harness import VICTIM_MANAGER, run_schedule
+from repro.chaos.harness import run_schedule
 from repro.errors import ReproError, TransientDiskError
+from repro.verify.workloads import VICTIM_MANAGER
 
 pytestmark = pytest.mark.chaos
 

@@ -15,27 +15,28 @@ import pytest
 from repro.errors import VerificationError
 from repro.managers.base import GenericSegmentManager
 from repro.verify.determinism import run_twice
-from repro.verify.schedule import NAMED_SCHEDULES
+from repro.verify.schedule import table1_schedule
 
 pytestmark = pytest.mark.verify
 
 
 class TestGreenPaths:
     def test_figure2_chaos_workload_is_deterministic(self):
-        """The acceptance configuration: figure2, 4 nodes, chaos seed 7."""
-        report = run_twice("figure2", nodes=4, chaos_seed=7)
+        """The acceptance configuration: figure2-victim, 4 nodes, chaos
+        seed 7."""
+        report = run_twice("figure2-victim", nodes=4, chaos_seed=7)
         assert report.ok, report.render()
         a, b = report.runs
         assert a.chain.head == b.chain.head != ""
         assert len(a.chain.steps) == len(b.chain.steps) > 1
 
     def test_schedule_workload_is_deterministic(self):
-        schedule = NAMED_SCHEDULES["table1"]()
+        schedule = table1_schedule()
         report = run_twice(schedule, nodes=2, chaos_seed=11)
         assert report.ok, report.render()
 
     def test_render_mentions_pass(self):
-        report = run_twice("figure2")
+        report = run_twice("figure2-victim")
         assert "PASS" in report.render()
 
     def test_unknown_workload_is_a_verification_error(self):

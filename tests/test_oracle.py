@@ -16,10 +16,10 @@ from repro.verify.oracle import (
     EXECUTORS,
     ExecutionResult,
     check_equivalence,
-    named_schedule,
     run_vpp,
 )
 from repro.verify.schedule import MANAGER_KINDS
+from repro.verify.workloads import resolve
 
 pytestmark = pytest.mark.verify
 
@@ -27,7 +27,7 @@ pytestmark = pytest.mark.verify
 @pytest.mark.parametrize("manager", MANAGER_KINDS)
 @pytest.mark.parametrize("name", ["figure2", "table1"])
 def test_reference_schedules_pass_for_every_manager(name, manager):
-    report = check_equivalence(named_schedule(name, manager))
+    report = check_equivalence(resolve(name).oracle_schedule(manager))
     assert report.ok, report.render()
     # all three executors actually ran and are in the report
     assert set(report.results) == set(EXECUTORS)
@@ -35,8 +35,8 @@ def test_reference_schedules_pass_for_every_manager(name, manager):
 
 
 def test_unknown_schedule_name_raises():
-    with pytest.raises(VerificationError, match="no schedule named"):
-        named_schedule("figure99")
+    with pytest.raises(VerificationError, match="unknown workload"):
+        resolve("figure99")
 
 
 def _broken(transform):
@@ -52,7 +52,7 @@ def _broken(transform):
 
 
 def _check_broken(transform) -> list[str]:
-    schedule = named_schedule("figure2")
+    schedule = resolve("figure2").oracle_schedule()
     report = check_equivalence(
         schedule, executors={"vpp": run_vpp, "broken": _broken(transform)}
     )
@@ -85,7 +85,7 @@ class TestContractClauses:
         assert "anon-page-ins" in _check_broken(corrupt)
 
     def test_fault_count_beyond_tolerance_is_caught(self):
-        schedule = named_schedule("figure2")
+        schedule = resolve("figure2").oracle_schedule()
         tolerance = schedule.fault_tolerance()
 
         def corrupt(result):
@@ -97,7 +97,7 @@ class TestContractClauses:
         def nudge(result):
             result.faults += 1
 
-        schedule = named_schedule("figure2")
+        schedule = resolve("figure2").oracle_schedule()
         report = check_equivalence(
             schedule, executors={"vpp": run_vpp, "broken": _broken(nudge)}
         )
@@ -123,7 +123,7 @@ class TestContractClauses:
 
 
 def test_invalid_schedule_is_rejected_before_running():
-    schedule = named_schedule("figure2")
+    schedule = resolve("figure2").oracle_schedule()
     bad = replace(schedule, manager="no-such-manager")
     with pytest.raises(VerificationError, match="manager"):
         check_equivalence(bad)

@@ -529,7 +529,7 @@ class TestTenantRideThrough:
 @pytest.mark.verify
 class TestRecoveryGate:
     def test_figure2_recovered_state_matches_baseline(self):
-        report = run_recovery_gate("figure2")
+        report = run_recovery_gate("figure2-victim")
         assert report.crashes > 0
         assert report.ok, report.render()
 
@@ -537,6 +537,16 @@ class TestRecoveryGate:
         report = run_recovery_gate("serve-thrash")
         assert report.crashes > 0
         assert report.ok, report.render()
+
+    def test_uncrashed_run_does_not_claim_a_recovery(self):
+        """The crash plan targets no ``ecc`` manager: the verdict must say
+        no crash was injected instead of claiming a recovered state."""
+        report = run_recovery_gate("ecc")
+        assert report.ok
+        assert report.crashes == report.warm_restarts == 0
+        verdict = report.render().splitlines()[-1]
+        assert verdict.startswith("  PASS (no crash injected):")
+        assert "recovered" not in verdict
 
     def test_gate_rejects_unknown_workload(self):
         from repro.errors import VerificationError
@@ -547,7 +557,7 @@ class TestRecoveryGate:
     def test_cli_recovery_subcommand(self, capsys):
         from repro.verify.cli import main as verify_main
 
-        code = verify_main(["recovery", "--workload", "figure2"])
+        code = verify_main(["recovery", "--workload", "figure2-victim"])
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out

@@ -20,18 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chaos.harness import build_workload_system
 from repro.chaos.injector import Injector
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.plan import ChaosPlan
 from repro.core.api import AdmitTenantRequest, RetryAfter, TenantQuota
 from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.loadgen import (
-    SERVING_SCHEDULES,
-    admit_fleet,
-    run_load,
-)
+from repro.serve.loadgen import admit_fleet, run_load
 from repro.serve.tenants import ServingSystem
+from repro.verify.workloads import build_workload_system
 
 
 def build_serving(seed=0, **kwargs):
@@ -711,16 +707,6 @@ class TestServingObservability:
         run_load(serving, duration_us=2_000.0)
         assert watchdog.tenant_latency == {}
         assert watchdog.alerts == []
-
-
-def test_named_schedules_registered():
-    """The determinism gate can resolve the serving schedules by name."""
-    assert "serve-smoke" in SERVING_SCHEDULES
-    assert "serve-64x2" in SERVING_SCHEDULES
-    from repro.verify.determinism import run_twice
-
-    report = run_twice("serve-smoke", nodes=2)
-    assert report.ok, report.render()
 
 
 def test_bench_serve_cli_writes_payload_to_output(tmp_path, capsys):

@@ -13,20 +13,20 @@ import pytest
 
 from repro.verify.cli import EXIT_INCOMPARABLE, main
 from repro.verify.digest import DIGEST_VERSION
-from repro.verify.oracle import named_schedule
+from repro.verify.workloads import resolve
 
 pytestmark = pytest.mark.verify
 
 
 def test_determinism_subcommand_passes(capsys):
-    code = main(["determinism", "--workload", "figure2"])
+    code = main(["determinism", "--workload", "figure2-victim"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
 
 
 def test_determinism_accepts_a_schedule_json(tmp_path, capsys):
     path = tmp_path / "fig2.json"
-    named_schedule("figure2").save(str(path))
+    resolve("figure2").oracle_schedule().save(str(path))
     code = main(["determinism", "--workload", str(path), "--chaos-seed", "3"])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
@@ -52,7 +52,7 @@ def test_fuzz_subcommand_small_campaign(tmp_path, capsys):
 
 def test_replay_of_an_explicit_green_entry(tmp_path, capsys):
     path = tmp_path / "entry.json"
-    named_schedule("table1", manager="clock").save(str(path))
+    resolve("table1").oracle_schedule("clock").save(str(path))
     code = main(["replay", str(path)])
     assert code == 0
     assert "PASS" in capsys.readouterr().out
@@ -74,7 +74,7 @@ def test_unknown_workload_is_incomparable(capsys):
 class TestDigestVersionGate:
     def _stale_entry(self, tmp_path):
         path = tmp_path / "stale.json"
-        payload = named_schedule("figure2").to_payload()
+        payload = resolve("figure2").oracle_schedule().to_payload()
         assert payload["digest_version"] == DIGEST_VERSION
         payload["digest_version"] = DIGEST_VERSION - 1
         path.write_text(json.dumps(payload))
