@@ -1,11 +1,14 @@
 """The versioned, typed kernel API (v3).
 
 The paper's four external page-cache management operations (S2.1) are
-methods on :class:`~repro.core.kernel.Kernel`, each with exactly one call
-form: it takes a frozen *request* dataclass from this module and returns
-a frozen *result* dataclass.  The requests carry the NUMA placement hints
-and the results the batch statistics the sharded System Page Cache
-Manager needs.
+methods on :class:`~repro.core.kernel.Kernel`, each with exactly one
+public call form: it takes a frozen *request* dataclass from this module
+and returns a frozen *result* dataclass.  The requests carry the NUMA
+placement hints and the results the batch statistics the sharded System
+Page Cache Manager needs.  The facades resolve their ids and delegate to
+one internal entry per primitive (``Kernel._migrate``,
+``Kernel._modify_page_flags``), which in-process managers and the SPCM
+call directly with resolved segments and int flag masks.
 
 * :class:`MigratePagesRequest` / :class:`MigratePagesResult`
 * :class:`BatchMigratePagesRequest` / :class:`BatchMigratePagesResult`
@@ -78,17 +81,6 @@ class BatchStats:
     cow_copies: int = 0
     local_pages: int = 0
     remote_pages: int = 0
-
-    def merged(self, other: "BatchStats") -> "BatchStats":
-        """Combine statistics of two batches into one."""
-        return BatchStats(
-            n_calls=self.n_calls + other.n_calls,
-            n_pages=self.n_pages + other.n_pages,
-            zero_fills=self.zero_fills + other.zero_fills,
-            cow_copies=self.cow_copies + other.cow_copies,
-            local_pages=self.local_pages + other.local_pages,
-            remote_pages=self.remote_pages + other.remote_pages,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,20 @@ MANAGER_SETTABLE = (
 )
 
 
+# Plain-int mirrors of the bits.  Flag operators (``|``, ``&``, ``in``)
+# dispatch through Flag.__and__/__or__ at Python speed, so the fault,
+# reclaim and clock paths run on these and build PageFlags only at the
+# public API boundary.
+READ_I = int(PageFlags.READ)
+WRITE_I = int(PageFlags.WRITE)
+RW_I = READ_I | WRITE_I
+REFERENCED_I = int(PageFlags.REFERENCED)
+DIRTY_I = int(PageFlags.DIRTY)
+PINNED_I = int(PageFlags.PINNED)
+ZERO_FILL_I = int(PageFlags.ZERO_FILL)
+MANAGER_SETTABLE_I = int(MANAGER_SETTABLE)
+
+
 def describe_flags(flags: PageFlags | int) -> str:
     """Human-readable rendering, e.g. ``'READ|WRITE|DIRTY'``."""
     flags = PageFlags(flags)

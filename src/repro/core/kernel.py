@@ -45,7 +45,10 @@ from repro.core.api import (
     SetSegmentManagerResult,
 )
 from repro.core.faults import FaultKind, FaultTrace, PageFault
-from repro.core.flags import MANAGER_SETTABLE, PageFlags
+from repro.core.flags import (
+    DIRTY_I, MANAGER_SETTABLE_I, READ_I, REFERENCED_I, RW_I, WRITE_I,
+    ZERO_FILL_I, PageFlags,
+)
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import ResolvedPage, Segment
 from repro.errors import (
@@ -77,18 +80,6 @@ FAILOVER_AFTER_ATTEMPTS = 4
 #: Dropped fault messages are redelivered this many times before the kernel
 #: declares the manager unreachable.
 IPC_MAX_REDELIVERIES = 3
-
-# Integer mirrors of the PageFlags bits for the fault path.  Enum member
-# operators (`|`, `&`, `in`) dispatch through Flag.__and__/__or__ at
-# Python speed; the hot paths run on plain ints and convert back to
-# PageFlags only at the API boundary.
-_READ_I = int(PageFlags.READ)
-_WRITE_I = int(PageFlags.WRITE)
-_RW_I = _READ_I | _WRITE_I
-_REFERENCED_I = int(PageFlags.REFERENCED)
-_DIRTY_I = int(PageFlags.DIRTY)
-_ZERO_FILL_I = int(PageFlags.ZERO_FILL)
-_MANAGER_SETTABLE_I = int(MANAGER_SETTABLE)
 
 
 @dataclass
@@ -276,7 +267,7 @@ class Kernel:
             boot.pages[page] = frame
             frame.owner_segment_id = boot.seg_id
             frame.page_index = page
-            frame.flags = _RW_I
+            frame.flags = RW_I
         self.initial_segment = self.boot_segments.get(
             memory.page_size,
             next(iter(self.boot_segments.values()), None),  # type: ignore[arg-type]
@@ -358,9 +349,7 @@ class Kernel:
             for page in sorted(segment.pages):
                 dst = boot.n_pages
                 boot.grow(1)
-                self.migrate_pages(
-                    MigratePagesRequest(segment.seg_id, boot.seg_id, page, dst)
-                )
+                self._migrate(segment, boot, page, dst)
         segment.deleted = True
         del self._segments[segment.seg_id]
         self.tlb.flush_space(segment.seg_id)
@@ -447,8 +436,17 @@ class Kernel:
         migrates it to the bound segment.  The whole page range must lie
         within one binding (or none).
         """
-        moved, batch = self._migrate_request(request)
-        return MigratePagesResult(tuple([frame.pfn for frame in moved]), batch)
+        before = self._migrate_counters()
+        moved = self._migrate(
+            self.segment(request.src), self.segment(request.dst),
+            request.src_page, request.dst_page, request.n_pages,
+            int(request.set_flags), int(request.clear_flags),
+            home_node=request.home_node,
+        )
+        return MigratePagesResult(
+            tuple([frame.pfn for frame in moved]),
+            self._batch_stats(1, len(moved), before),
+        )
 
     def migrate_pages_batch(
         self, request: BatchMigratePagesRequest
@@ -467,87 +465,93 @@ class Kernel:
         if not runs:
             return BatchMigratePagesResult((), BatchStats(n_calls=0), 0)
         self.stats.migrate_batches += 1
+        before = self._migrate_counters()
         moved_pfns: list[int] = []
-        batch: BatchStats | None = None
-        for i, run in enumerate(runs):
-            cost = (
-                self.costs.vpp_migrate_call
-                if i == 0
-                else self.costs.vpp_migrate_batch_extra
+        cost = self.costs.vpp_migrate_call
+        for run in runs:
+            moved = self._migrate(
+                self.segment(run.src), self.segment(run.dst),
+                run.src_page, run.dst_page, run.n_pages,
+                int(run.set_flags), int(run.clear_flags),
+                cost, run.home_node,
             )
-            moved, stats = self._migrate_request(run, call_cost_us=cost)
-            moved_pfns.extend(frame.pfn for frame in moved)
-            batch = stats if batch is None else batch.merged(stats)
-        assert batch is not None
-        return BatchMigratePagesResult(tuple(moved_pfns), batch, len(runs))
-
-    def _migrate_request(
-        self,
-        request: MigratePagesRequest,
-        call_cost_us: float | None = None,
-    ) -> tuple[list[PageFrame], BatchStats]:
-        """Execute one migrate request; returns frames + batch stats."""
-        src = self.segment(request.src)
-        dst = self.segment(request.dst)
-        cost = (
-            self.costs.vpp_migrate_call if call_cost_us is None else call_cost_us
+            moved_pfns.extend([frame.pfn for frame in moved])
+            cost = self.costs.vpp_migrate_batch_extra
+        return BatchMigratePagesResult(
+            tuple(moved_pfns),
+            self._batch_stats(len(runs), len(moved_pfns), before),
+            len(runs),
         )
-        zero_before = self.stats.zero_fills
-        cow_before = self.stats.cow_copies
+
+    def _migrate_counters(self) -> tuple[int, int, int, int]:
+        """The counters a :class:`BatchStats` reports, as a snapshot."""
+        s = self.stats
+        return (
+            s.zero_fills, s.cow_copies, s.numa_local_pages, s.numa_remote_pages
+        )
+
+    def _batch_stats(
+        self, n_calls: int, n_pages: int, before: tuple[int, int, int, int]
+    ) -> BatchStats:
+        """What the migrate runs since the ``before`` snapshot did."""
+        now = self._migrate_counters()
+        return BatchStats(
+            n_calls, n_pages, *[a - b for a, b in zip(now, before)]
+        )
+
+    def _migrate(
+        self,
+        src: Segment,
+        dst: Segment,
+        src_page: int,
+        dst_page: int,
+        n_pages: int = 1,
+        set_i: int = 0,
+        clear_i: int = 0,
+        cost_us: float | None = None,
+        home_node: int | None = None,
+    ) -> list[PageFrame]:
+        """The one internal ``MigratePages`` entry.
+
+        The public facades resolve their request ids and delegate here;
+        in-process managers and the SPCM call it directly with resolved
+        segments and int flags.  ``cost_us`` is the kernel-entry charge
+        (default ``vpp_migrate_call``; batches pass the marginal cost),
+        and a ``home_node`` hint splits the moved frames into NUMA
+        local/remote pages and charges the remote penalty.
+        """
+        if cost_us is None:
+            cost_us = self.costs.vpp_migrate_call
         if not self.tracer.enabled:
             moved = self._migrate_pages(
-                src,
-                dst,
-                request.src_page,
-                request.dst_page,
-                request.n_pages,
-                request.set_flags,
-                request.clear_flags,
-                cost,
+                src, dst, src_page, dst_page, n_pages, set_i, clear_i, cost_us
             )
         else:
             with self.tracer.span(
-                "kernel",
-                "MigratePages",
-                src=src.name,
-                dst=dst.name,
-                dst_page=request.dst_page,
-                n_pages=request.n_pages,
+                "kernel", "MigratePages", src=src.name, dst=dst.name,
+                dst_page=dst_page, n_pages=n_pages,
             ):
                 moved = self._migrate_pages(
-                    src,
-                    dst,
-                    request.src_page,
-                    request.dst_page,
-                    request.n_pages,
-                    request.set_flags,
-                    request.clear_flags,
-                    cost,
+                    src, dst, src_page, dst_page, n_pages, set_i, clear_i,
+                    cost_us,
                 )
-        local = len(moved)
-        remote = 0
-        if self.topology is not None and request.home_node is not None:
-            local = sum(
-                1
-                for frame in moved
-                if self.topology.is_local(request.home_node, frame.phys_addr)
-            )
-            remote = len(moved) - local
-            if remote:
-                penalty = self.costs.numa_remote_penalty_us * remote
-                if penalty > 0:
-                    self.meter.charge("numa_remote_placement", penalty)
-        self.stats.numa_local_pages += local
-        self.stats.numa_remote_pages += remote
-        batch = BatchStats(
-            n_calls=1,
-            n_pages=len(moved),
-            zero_fills=self.stats.zero_fills - zero_before,
-            cow_copies=self.stats.cow_copies - cow_before,
-            local_pages=local,
-            remote_pages=remote,
+        stats = self.stats
+        if self.topology is None or home_node is None:
+            stats.numa_local_pages += len(moved)
+            return moved
+        local = sum(
+            1
+            for frame in moved
+            if self.topology.is_local(home_node, frame.phys_addr)
         )
-        return moved, batch
+        remote = len(moved) - local
+        if remote:
+            penalty = self.costs.numa_remote_penalty_us * remote
+            if penalty > 0:
+                self.meter.charge("numa_remote_placement", penalty)
+        stats.numa_local_pages += local
+        stats.numa_remote_pages += remote
+        return moved
 
     def _migrate_pages(
         self,
@@ -556,9 +560,9 @@ class Kernel:
         src_page: int,
         dst_page: int,
         n_pages: int,
-        set_flags: PageFlags,
-        clear_flags: PageFlags,
-        call_cost_us: float | None = None,
+        set_i: int,
+        clear_i: int,
+        cost_us: float,
     ) -> list[PageFrame]:
         # unbound segments (the common fault path) skip the binding walk
         # and take its range/grow checks inline
@@ -574,12 +578,7 @@ class Kernel:
             if dst.auto_grow:
                 dst.ensure_size(dst_page + n_pages)
             dst.check_page_range(dst_page, n_pages)
-        self.meter.charge(
-            "migrate_pages",
-            self.costs.vpp_migrate_call
-            if call_cost_us is None
-            else call_cost_us,
-        )
+        self.meter.charge("migrate_pages", cost_us)
         stats = self.stats
         stats.migrate_calls += 1
         attribution = self._attribution
@@ -591,13 +590,11 @@ class Kernel:
             raise MigrationError(
                 f"page size mismatch: {src.page_size} vs {dst.page_size}"
             )
-        if not (int(dst.prot) & _WRITE_I):
+        if not (int(dst.prot) & WRITE_I):
             raise ProtectionError(
                 f"migration into read-only segment {dst.name}"
             )
-        set_i = int(set_flags)
-        clear_i = int(clear_flags)
-        unsupported = (set_i | clear_i) & ~_MANAGER_SETTABLE_I
+        unsupported = (set_i | clear_i) & ~MANAGER_SETTABLE_I
         if unsupported:
             raise MigrationError(
                 f"flags not manager-settable: {unsupported:#x}"
@@ -632,9 +629,9 @@ class Kernel:
                     tlb.invalidate(key[0], key[1])
                     page_table.remove(key[0], key[1])
             flags = frame.flags
-            if flags & _ZERO_FILL_I:
+            if flags & ZERO_FILL_I:
                 frame.zero()
-                flags &= ~_ZERO_FILL_I
+                flags &= ~ZERO_FILL_I
                 self.meter.charge("zero_fill", self.costs.zero_page)
                 self.stats.zero_fills += 1
                 if self.tracer.enabled:
@@ -655,7 +652,7 @@ class Kernel:
                 )
                 if source_res is not None and source_res.frame is not None:
                     frame.copy_from(source_res.frame)
-                    flags |= _DIRTY_I
+                    flags |= DIRTY_I
                     self.meter.charge("cow_copy", self.costs.copy_page)
                     self.stats.cow_copies += 1
             frame.flags = flags
@@ -669,7 +666,7 @@ class Kernel:
                 "kernel",
                 f"MigratePages: {n_pages} frame(s) {src.name} -> {dst.name}"
                 f" page {dst_page}",
-                self.costs.vpp_migrate_call,
+                cost_us,
             )
         return moved
 
@@ -688,8 +685,8 @@ class Kernel:
             self.segment(request.segment),
             request.page,
             request.n_pages,
-            request.set_flags,
-            request.clear_flags,
+            int(request.set_flags),
+            int(request.clear_flags),
         )
         return ModifyPageFlagsResult(modified)
 
@@ -698,28 +695,28 @@ class Kernel:
         segment: Segment,
         page: int,
         n_pages: int,
-        set_flags: PageFlags,
-        clear_flags: PageFlags,
+        set_i: int,
+        clear_i: int,
     ) -> int:
+        """``ModifyPageFlags`` on a resolved segment with int flag masks
+        (the facade's body; the clock sweep calls it directly)."""
         if self.tracer.enabled:
             self.tracer.event(
                 "kernel",
                 f"ModifyPageFlags: {n_pages} page(s) of {segment.name} "
-                f"at {page} (+{set_flags!r} -{clear_flags!r})",
+                f"at {page} (+{PageFlags(set_i)!r} -{PageFlags(clear_i)!r})",
                 self.costs.vpp_modify_flags_call,
             )
         self.meter.charge("modify_flags", self.costs.vpp_modify_flags_call)
         self.stats.modify_flags_calls += 1
-        set_i = int(set_flags)
-        clear_i = int(clear_flags)
-        unsupported = (set_i | clear_i) & ~_MANAGER_SETTABLE_I
+        unsupported = (set_i | clear_i) & ~MANAGER_SETTABLE_I
         if unsupported:
             raise SegmentError(
                 f"flags not manager-settable: {unsupported:#x}"
             )
         segment.check_page_range(page, n_pages)
         modified = 0
-        lowers_access = bool(clear_i & (_RW_I | _REFERENCED_I))
+        lowers_access = bool(clear_i & (RW_I | REFERENCED_I))
         not_clear_i = ~clear_i
         segment_pages = segment.pages
         for i in range(n_pages):
@@ -827,7 +824,7 @@ class Kernel:
                 return self.memory.frame(pfn)
         entry = self.page_table.lookup(space.seg_id, vpn)
         if entry is not None:
-            writable = bool(entry.prot & _WRITE_I)
+            writable = bool(entry.prot & WRITE_I)
             if not write or writable:
                 self.meter.charge("tlb_refill", self.costs.tlb_refill)
                 self.tlb.insert(space.seg_id, vpn, (entry.pfn, writable))
@@ -991,7 +988,7 @@ class Kernel:
                 space_id=space.seg_id,
                 vaddr=vpn * space.page_size,
             )
-        needed_i = _WRITE_I if write else _READ_I
+        needed_i = WRITE_I if write else READ_I
         if not (int(res.prot) & needed_i):
             return PageFault(
                 res.owner.seg_id,
@@ -1023,18 +1020,18 @@ class Kernel:
         frame = res.frame
         assert frame is not None
         if write:
-            frame.flags |= _REFERENCED_I | _DIRTY_I
+            frame.flags |= REFERENCED_I | DIRTY_I
         else:
-            frame.flags |= _REFERENCED_I
+            frame.flags |= REFERENCED_I
         if not post_fault:
             self.meter.charge("map_update", self.costs.map_update)
         prot_i = int(res.prot)
-        writable = bool(prot_i & _WRITE_I) and bool(frame.flags & _DIRTY_I)
+        writable = bool(prot_i & WRITE_I) and bool(frame.flags & DIRTY_I)
         entry = Translation(
             space.seg_id,
             vpn,
             frame.pfn,
-            prot=(prot_i & _READ_I) | (_WRITE_I if writable else 0),
+            prot=(prot_i & READ_I) | (WRITE_I if writable else 0),
         )
         self.page_table.insert(entry)
         self.tlb.insert(space.seg_id, vpn, (frame.pfn, writable))

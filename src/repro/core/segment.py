@@ -17,18 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.flags import PageFlags
+from repro.core.flags import RW_I, WRITE_I, PageFlags
 from repro.errors import BindingError, SegmentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.manager_api import SegmentManager
     from repro.hw.phys_mem import PageFrame
-
-
-# integer mirrors of the hot PageFlags values (enum operators dispatch
-# at Python speed; resolution runs on ints and converts once at the end)
-_RW_I = int(PageFlags.READ | PageFlags.WRITE)
-_WRITE_I = int(PageFlags.WRITE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,7 +187,7 @@ class Segment:
         copy-on-write privatization.
         """
         segment: Segment = self
-        prot_i = _RW_I
+        prot_i = RW_I
         depth = 0
         seen: set[tuple[int, int]] | None = None
         while True:
@@ -264,7 +258,7 @@ class Segment:
                         )
                     # Reads fall through to the source (read sharing),
                     # but the shared view is never writable.
-                    prot_i &= ~_WRITE_I
+                    prot_i &= ~WRITE_I
                     segment = source
                     depth += 1
                     continue

@@ -27,14 +27,9 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 from repro.contracts import NULL_JOURNAL
-from repro.core.api import (
-    FrameDemand,
-    FrameGrant,
-    MigratePagesRequest,
-    ModifyPageFlagsRequest,
-)
+from repro.core.api import FrameDemand, FrameGrant
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import DIRTY_I, PINNED_I, REFERENCED_I, RW_I
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import Segment
 from repro.errors import ManagerError, OutOfFramesError
@@ -44,11 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.kernel import Kernel
     from repro.hw.phys_mem import PageFrame
     from repro.spcm.spcm import SystemPageCacheManager
-
-# request-flag values hoisted out of the fault path: PageFlags `|` runs
-# through Flag.__or__ at Python speed on every construction otherwise
-_RW_PROT = PageFlags.READ | PageFlags.WRITE
-_CLEAR_REFERENCED = PageFlags.REFERENCED
 
 
 class GenericSegmentManager(SegmentManager):
@@ -470,15 +460,9 @@ class GenericSegmentManager(SegmentManager):
             self._stale_slot.pop(key)
             self._stale_origin.pop(stale_slot)
             self._free_slots.remove(stale_slot)
-            self.kernel.migrate_pages(
-                MigratePagesRequest(
-                    self.free_segment.seg_id,
-                    fault.segment_id,
-                    stale_slot,
-                    fault.page,
-                    set_flags=_RW_PROT,
-                    home_node=self.home_node,
-                )
+            self.kernel._migrate(
+                self.free_segment, segment, stale_slot, fault.page, 1,
+                RW_I, 0, home_node=self.home_node,
             )
             self._empty_slots.append(stale_slot)
             self._note_resident(segment, fault.page)
@@ -505,16 +489,9 @@ class GenericSegmentManager(SegmentManager):
                 self.fill_page(segment, fault.page, frame)
         # For COPY_ON_WRITE the kernel copies the source data during the
         # migrate; the manager only supplies the frame.
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment.seg_id,
-                fault.segment_id,
-                slot,
-                fault.page,
-                set_flags=_RW_PROT,
-                clear_flags=_CLEAR_REFERENCED,
-                home_node=self.home_node,
-            )
+        self.kernel._migrate(
+            self.free_segment, segment, slot, fault.page, 1,
+            RW_I, REFERENCED_I, home_node=self.home_node,
         )
         self._empty_slots.append(slot)
         self._note_resident(segment, fault.page)
@@ -553,13 +530,7 @@ class GenericSegmentManager(SegmentManager):
 
     def on_protection_fault(self, segment: Segment, fault: PageFault) -> None:
         """Default protection-fault policy: restore full access."""
-        self.kernel.modify_page_flags(
-            ModifyPageFlagsRequest(
-                segment,
-                fault.page,
-                set_flags=_RW_PROT,
-            )
-        )
+        self.kernel._modify_page_flags(segment, fault.page, 1, RW_I, 0)
 
     # ------------------------------------------------------------------
     # policy hooks
@@ -595,7 +566,7 @@ class GenericSegmentManager(SegmentManager):
             frame = segment.pages.get(page)
             if frame is None:
                 continue
-            if PageFlags.PINNED & PageFlags(frame.flags):
+            if frame.flags & PINNED_I:
                 continue
             victims.append((segment, page))
         return victims
@@ -630,7 +601,7 @@ class GenericSegmentManager(SegmentManager):
             raise ManagerError(
                 f"page {page} of {segment.name} is not resident"
             )
-        if PageFlags.DIRTY & PageFlags(frame.flags):
+        if frame.flags & DIRTY_I:
             if self.kernel.tracer.enabled:
                 with self.kernel.tracer.span(
                     "manager", "writeback", segment=segment.name, page=page
@@ -643,14 +614,9 @@ class GenericSegmentManager(SegmentManager):
         if grew:
             slot = self.free_segment.n_pages
             self.free_segment.grow(1)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                segment,
-                self.free_segment,
-                page,
-                slot,
-                clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
-            )
+        self.kernel._migrate(
+            segment, self.free_segment, page, slot, 1,
+            0, REFERENCED_I | DIRTY_I,
         )
         self._free_slots.append(slot)
         key = (segment.seg_id, page)
@@ -685,14 +651,9 @@ class GenericSegmentManager(SegmentManager):
             if grew:
                 slot = self.free_segment.n_pages
                 self.free_segment.grow(1)
-            self.kernel.migrate_pages(
-                MigratePagesRequest(
-                    segment,
-                    self.free_segment,
-                    page,
-                    slot,
-                    clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
-                )
+            self.kernel._migrate(
+                segment, self.free_segment, page, slot, 1,
+            0, REFERENCED_I | DIRTY_I,
             )
             self._free_slots.append(slot)
             self._resident.pop((segment.seg_id, page), None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import ModifyPageFlagsRequest
-from repro.core.flags import PageFlags
+from repro.core.flags import PINNED_I, REFERENCED_I, PageFlags
 from repro.core.segment import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,33 +56,36 @@ class ClockReplacer:
         sweep position --- the second-chance guarantee."""
         self._sync_ring()
         victims: list[tuple[Segment, int]] = []
-        if not self._ring:
+        ring = self._ring
+        if not ring:
             return victims
+        chosen: set[tuple[int, int]] = set()
+        pinned = self.manager.pinned_segments
+        kernel = self.manager.kernel
         sweeps = 0
-        max_sweeps = 2 * len(self._ring)
+        max_sweeps = 2 * len(ring)
         while len(victims) < n_pages and sweeps < max_sweeps:
             sweeps += 1
-            seg_id, page = self._ring[self._hand % len(self._ring)]
+            key = ring[self._hand % len(ring)]
             self._hand += 1
-            if seg_id in self.manager.pinned_segments:
+            seg_id, page = key
+            if seg_id in pinned:
                 continue
-            segment = self.manager.kernel.segment(seg_id)
+            segment = kernel.segment(seg_id)
             frame = segment.pages.get(page)
             if frame is None:
                 continue
-            flags = PageFlags(frame.flags)
-            if PageFlags.PINNED in flags:
+            flags = frame.flags
+            if flags & PINNED_I:
                 continue
-            if PageFlags.REFERENCED in flags:
-                # Second chance: clear the bit (shooting down cached
-                # translations so a future touch re-sets it) and move on.
-                self.manager.kernel.modify_page_flags(
-                    ModifyPageFlagsRequest(
-                        segment, page, clear_flags=PageFlags.REFERENCED
-                    )
-                )
+            if flags & REFERENCED_I:
+                # Second chance: clear the bit (one ModifyPageFlags per
+                # page, shooting down cached translations so a future
+                # touch re-sets it) and move on.
+                kernel._modify_page_flags(segment, page, 1, 0, REFERENCED_I)
                 continue
-            if (segment, page) not in victims:
+            if key not in chosen:
+                chosen.add(key)
                 victims.append((segment, page))
         return victims
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import FrameGrant, MigratePagesRequest
+from repro.core.api import FrameGrant
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import REFERENCED_I, RW_I
 from repro.core.segment import Segment
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.spcm import FrameRequest
@@ -109,16 +109,9 @@ class ColoringSegmentManager(GenericSegmentManager):
             self.color_misses += 1
             slot = self.allocate_slot()
             self._uncolor_slot(slot)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment,
-                segment,
-                slot,
-                fault.page,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
-                clear_flags=PageFlags.REFERENCED,
-                home_node=self.home_node,
-            )
+        self.kernel._migrate(
+            self.free_segment, segment, slot, fault.page, 1,
+            RW_I, REFERENCED_I, home_node=self.home_node,
         )
         self._empty_slots.append(slot)
         self._note_resident(segment, fault.page)

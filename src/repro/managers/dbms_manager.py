@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import MigratePagesRequest, ModifyPageFlagsRequest
-from repro.core.flags import PageFlags
+from repro.core.api import ModifyPageFlagsRequest
+from repro.core.flags import DIRTY_I, REFERENCED_I, PageFlags
 from repro.core.segment import Segment
 from repro.errors import ManagerError
 from repro.managers.base import GenericSegmentManager
@@ -137,14 +137,9 @@ class DBMSSegmentManager(GenericSegmentManager):
             if slot is None:
                 slot = self.free_segment.n_pages
                 self.free_segment.grow(1)
-            self.kernel.migrate_pages(
-                MigratePagesRequest(
-                    segment,
-                    self.free_segment,
-                    page,
-                    slot,
-                    clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
-                )
+            self.kernel._migrate(
+                segment, self.free_segment, page, slot, 1,
+                0, REFERENCED_I | DIRTY_I,
             )
             self._free_slots.append(slot)
             self._resident.pop((segment.seg_id, page), None)

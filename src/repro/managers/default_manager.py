@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import MigratePagesRequest, ModifyPageFlagsRequest
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import DIRTY_I, REFERENCED_I, RW_I
 from repro.core.manager_api import InvocationMode
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
@@ -128,30 +127,15 @@ class DefaultSegmentManager(GenericSegmentManager):
             slots[i] == slots[0] + i for i in range(len(slots))
         )
         if contiguous:
-            self.kernel.migrate_pages(
-                MigratePagesRequest(
-                    self.free_segment,
-                    segment,
-                    slots[0],
-                    run[0],
-                    len(run),
-                    set_flags=PageFlags.READ | PageFlags.WRITE,
-                    clear_flags=PageFlags.REFERENCED,
-                    home_node=self.home_node,
-                )
+            self.kernel._migrate(
+                self.free_segment, segment, slots[0], run[0], len(run),
+                RW_I, REFERENCED_I, home_node=self.home_node,
             )
         else:
             for slot, page in zip(slots, run):
-                self.kernel.migrate_pages(
-                    MigratePagesRequest(
-                        self.free_segment,
-                        segment,
-                        slot,
-                        page,
-                        set_flags=PageFlags.READ | PageFlags.WRITE,
-                        clear_flags=PageFlags.REFERENCED,
-                        home_node=self.home_node,
-                    )
+                self.kernel._migrate(
+                    self.free_segment, segment, slot, page, 1,
+                    RW_I, REFERENCED_I, home_node=self.home_node,
                 )
         self._empty_slots.extend(slots)
         for page in run:
@@ -245,13 +229,9 @@ class DefaultSegmentManager(GenericSegmentManager):
             return
         for page in sorted(segment.pages):
             frame = segment.pages[page]
-            if PageFlags.DIRTY & PageFlags(frame.flags):
+            if frame.flags & DIRTY_I:
                 self.file_server.store_page(segment, page, frame.read())
-                self.kernel.modify_page_flags(
-                    ModifyPageFlagsRequest(
-                        segment, page, clear_flags=PageFlags.DIRTY
-                    )
-                )
+                self.kernel._modify_page_flags(segment, page, 1, 0, DIRTY_I)
                 self.writebacks += 1
 
     # ------------------------------------------------------------------
@@ -377,7 +357,7 @@ class DefaultSegmentManager(GenericSegmentManager):
                 if freed >= frames_to_free:
                     break
                 frame = segment.pages.get(page)
-                if frame is None or PageFlags.REFERENCED & PageFlags(frame.flags):
+                if frame is None or frame.flags & REFERENCED_I:
                     continue
                 self.reclaim_one(segment, page)
                 freed += 1

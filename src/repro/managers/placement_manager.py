@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import FrameGrant, MigratePagesRequest
+from repro.core.api import FrameGrant
 from repro.core.faults import FaultKind, PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import REFERENCED_I, RW_I
 from repro.core.segment import Segment
 from repro.errors import ManagerError
 from repro.hw.numa import NumaTopology
@@ -146,16 +146,9 @@ class PlacementSegmentManager(GenericSegmentManager):
             self.spilled_placements += 1
             slot = self.allocate_slot()
             self._unnode_slot(slot)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment,
-                segment,
-                slot,
-                fault.page,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
-                clear_flags=PageFlags.REFERENCED,
-                home_node=home,
-            )
+        self.kernel._migrate(
+            self.free_segment, segment, slot, fault.page, 1,
+            RW_I, REFERENCED_I, home_node=home,
         )
         self._empty_slots.append(slot)
         self._note_resident(segment, fault.page)

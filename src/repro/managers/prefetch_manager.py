@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.api import MigratePagesRequest
-from repro.core.flags import PageFlags
+from repro.core.flags import DIRTY_I, REFERENCED_I, RW_I
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
 from repro.managers.base import GenericSegmentManager
@@ -169,7 +168,7 @@ class PrefetchingSegmentManager(GenericSegmentManager):
         frame = segment.pages.get(page)
         if frame is None:
             return now_us
-        dirty = bool(PageFlags.DIRTY & PageFlags(frame.flags))
+        dirty = bool(frame.flags & DIRTY_I)
         if dirty and segment.seg_id not in self.discardable_segments:
             if self.file_server.is_file(segment):
                 self.file_server.store_page(segment, page, frame.read())
@@ -202,16 +201,9 @@ class PrefetchingSegmentManager(GenericSegmentManager):
         slot = self.allocate_slot()
         frame = self.free_segment.pages[slot]
         self.fill_page(segment, page, frame)
-        self.kernel.migrate_pages(
-            MigratePagesRequest(
-                self.free_segment,
-                segment,
-                slot,
-                page,
-                set_flags=PageFlags.READ | PageFlags.WRITE,
-                clear_flags=PageFlags.REFERENCED | PageFlags.DIRTY,
-                home_node=self.home_node,
-            )
+        self.kernel._migrate(
+            self.free_segment, segment, slot, page, 1,
+            RW_I, REFERENCED_I | DIRTY_I, home_node=self.home_node,
         )
         self._empty_slots.append(slot)
         self._note_resident(segment, page)
@@ -229,6 +221,6 @@ class PrefetchingSegmentManager(GenericSegmentManager):
 
     @staticmethod
     def _touch(frame: "PageFrame", write: bool) -> None:
-        frame.flags |= int(PageFlags.REFERENCED)
+        frame.flags |= REFERENCED_I
         if write:
-            frame.flags |= int(PageFlags.DIRTY)
+            frame.flags |= DIRTY_I

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.api import ModifyPageFlagsRequest, SetSegmentManagerRequest
 from repro.core.faults import PageFault
-from repro.core.flags import PageFlags
+from repro.core.flags import DIRTY_I, PageFlags
 from repro.core.segment import Segment
 from repro.core.uio import FileServer
 from repro.errors import ManagerError
@@ -169,7 +169,7 @@ class SelfManagingManager(GenericSegmentManager):
                 )
             for page in sorted(segment.pages):
                 frame = segment.pages[page]
-                if PageFlags.DIRTY & PageFlags(frame.flags):
+                if frame.flags & DIRTY_I:
                     self.swap_area[(segment.seg_id, page)] = frame.read()
                     self.kernel.meter.charge(
                         "swap_out",

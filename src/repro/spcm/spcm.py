@@ -36,7 +36,9 @@ from repro.core.api import (
     MigratePagesRequest,
     TenantQuota,
 )
-from repro.core.flags import PageFlags
+from repro.core.flags import (
+    DIRTY_I, REFERENCED_I, RW_I, ZERO_FILL_I, PageFlags,
+)
 from repro.core.kernel import Kernel
 from repro.core.manager_api import SegmentManager
 from repro.core.segment import Segment
@@ -51,11 +53,12 @@ from repro.spcm.policy import (
     ReservePolicy,
 )
 
-# hot-path int mirrors / prebuilt flag combinations (Flag operators are
-# Python-level calls; the grant and return paths run per fault)
-_ZERO_FILL_I = int(PageFlags.ZERO_FILL)
+# prebuilt flag combinations (Flag operators are Python-level calls; the
+# grant and return paths run per fault): ints for the internal migrate
+# entry, PageFlags for the batched request facade
+_GRANT_CLEAR_I = REFERENCED_I | DIRTY_I
 _GRANT_SET = PageFlags.READ | PageFlags.WRITE
-_GRANT_CLEAR = PageFlags.REFERENCED | PageFlags.DIRTY
+_GRANT_CLEAR = PageFlags(_GRANT_CLEAR_I)
 
 
 @dataclass(frozen=True)
@@ -544,7 +547,7 @@ class SystemPageCacheManager:
             pfn = frame.pfn
             previous = last_account.get(pfn)
             if previous is not None and previous != account:
-                frame.flags |= _ZERO_FILL_I
+                frame.flags |= ZERO_FILL_I
             last_account[pfn] = account
         if self.n_shards > 1:
             granted_pages = self._grant_sharded(
@@ -594,16 +597,9 @@ class SystemPageCacheManager:
             for start, n_run in self._contiguous_runs(chosen):
                 dst_page = dst_segment.n_pages
                 dst_segment.grow(n_run)
-                self.kernel.migrate_pages(
-                    MigratePagesRequest(
-                        boot.seg_id,
-                        dst_segment.seg_id,
-                        start,
-                        dst_page,
-                        n_run,
-                        set_flags=_GRANT_SET,
-                        clear_flags=_GRANT_CLEAR,
-                    )
+                self.kernel._migrate(
+                    boot, dst_segment, start, dst_page, n_run,
+                    RW_I, _GRANT_CLEAR_I,
                 )
                 granted_pages.extend(range(dst_page, dst_page + n_run))
         return granted_pages
@@ -720,15 +716,9 @@ class SystemPageCacheManager:
                 home_boot, home_page = self._home[frame.pfn]
                 node = self.shard_of(frame.phys_addr).node
                 returned_by_node[node] = returned_by_node.get(node, 0) + 1
-                self.kernel.migrate_pages(
-                    MigratePagesRequest(
-                        src_segment.seg_id,
-                        home_boot.seg_id,
-                        page,
-                        home_page,
-                        1,
-                        clear_flags=_GRANT_CLEAR,
-                    )
+                self.kernel._migrate(
+                    src_segment, home_boot, page, home_page, 1,
+                    0, _GRANT_CLEAR_I,
                 )
                 self._free[size].append(home_page)
         held = self.frames_held.get(account, 0)

@@ -1,8 +1,9 @@
 """API v3 facade: request/result construction, typed kernel entries.
 
-Every caller in the repo goes through the typed request/result
-dataclasses of :mod:`repro.core.api`; each kernel primitive and manager
-callback has exactly one call form.
+Every public caller goes through the typed request/result dataclasses
+of :mod:`repro.core.api`; each kernel primitive and manager callback has
+exactly one public call form (in-process managers and the SPCM use the
+internal entry the facade delegates to; see ``test_migrate_entry``).
 """
 
 from __future__ import annotations
@@ -72,15 +73,6 @@ class TestPayloadRoundTrips:
         assert BatchStats() == BatchStats(
             n_calls=1, n_pages=0, zero_fills=0, cow_copies=0,
             local_pages=0, remote_pages=0,
-        )
-
-    def test_batch_stats_merged(self):
-        a = BatchStats(n_calls=1, n_pages=8, local_pages=8)
-        b = BatchStats(n_calls=2, n_pages=4, remote_pages=4, zero_fills=1)
-        merged = a.merged(b)
-        assert merged == BatchStats(
-            n_calls=3, n_pages=12, zero_fills=1, local_pages=8,
-            remote_pages=4,
         )
 
     def test_migrate_pages_request(self):
