@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.flags import PageFlags
+from repro.core.flags import WRITE_I
 from repro.errors import InvariantViolationError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -218,7 +218,7 @@ class InvariantChecker:
                 violations, "TLB", space_id, vpn, pfn, bool(writable)
             )
         for entry in kernel.page_table.entries():
-            writable = bool(PageFlags.WRITE & PageFlags(entry.prot))
+            writable = bool(entry.prot & WRITE_I)
             self._check_one_translation(
                 violations,
                 "page table",
@@ -258,7 +258,7 @@ class InvariantChecker:
                 f"pfn={pfn} but the segment structures resolve to {got}"
             )
             return
-        if writable and PageFlags.WRITE not in res.prot:
+        if writable and not res.prot_i & WRITE_I:
             violations.append(
                 f"{where} entry space {space_id} vpn {vpn} is writable "
                 "but the page is not write-permitted"

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.obs.records import TraceStep
 
-__all__ = ["FaultKind", "PageFault", "TraceStep", "FaultTrace"]
+__all__ = [
+    "FaultKind", "MISSING_PAGE", "PROTECTION", "COPY_ON_WRITE",
+    "PageFault", "TraceStep", "FaultTrace",
+]
 
 
 class FaultKind(Enum):
@@ -31,9 +34,21 @@ class FaultKind(Enum):
     COPY_ON_WRITE = auto()    # write to a page still bound to a COW source
 
 
-@dataclass(frozen=True, slots=True)
-class PageFault:
-    """One fault event delivered to a segment manager."""
+# The members as module globals: the fault path compares kinds by
+# identity, and a global load is cheaper than an attribute lookup on an
+# Enum class.
+MISSING_PAGE = FaultKind.MISSING_PAGE
+PROTECTION = FaultKind.PROTECTION
+COPY_ON_WRITE = FaultKind.COPY_ON_WRITE
+
+
+class PageFault(NamedTuple):
+    """One fault event delivered to a segment manager.
+
+    An immutable named tuple rather than a frozen dataclass: the kernel
+    builds one per fault, and the tuple constructor runs no Python-level
+    ``__init__``.
+    """
 
     segment_id: int            # segment whose page is missing/protected
     page: int                  # page index within that segment

@@ -44,12 +44,14 @@ from repro.core.api import (
     SetSegmentManagerRequest,
     SetSegmentManagerResult,
 )
-from repro.core.faults import FaultKind, FaultTrace, PageFault
+from repro.core.faults import (
+    COPY_ON_WRITE, MISSING_PAGE, PROTECTION, FaultTrace, PageFault,
+)
 from repro.core.flags import (
     DIRTY_I, MANAGER_SETTABLE_I, READ_I, REFERENCED_I, RW_I, WRITE_I,
     ZERO_FILL_I, PageFlags,
 )
-from repro.core.manager_api import InvocationMode, SegmentManager
+from repro.core.manager_api import SEPARATE_PROCESS, SegmentManager
 from repro.core.segment import ResolvedPage, Segment
 from repro.errors import (
     ManagerCrashError,
@@ -80,6 +82,13 @@ FAILOVER_AFTER_ATTEMPTS = 4
 #: Dropped fault messages are redelivered this many times before the kernel
 #: declares the manager unreachable.
 IPC_MAX_REDELIVERIES = 3
+
+# Injected failure modes as module globals: the dispatch path compares
+# against them by identity on every fault, and a global load is cheaper
+# than an attribute lookup on an Enum class.
+_CRASH = ManagerFailureMode.CRASH
+_HANG = ManagerFailureMode.HANG
+_BYZANTINE = ManagerFailureMode.BYZANTINE
 
 
 @dataclass
@@ -539,11 +548,11 @@ class Kernel:
         if self.topology is None or home_node is None:
             stats.numa_local_pages += len(moved)
             return moved
-        local = sum(
-            1
-            for frame in moved
-            if self.topology.is_local(home_node, frame.phys_addr)
-        )
+        is_local = self.topology.is_local
+        local = 0
+        for frame in moved:
+            if is_local(home_node, frame.phys_addr):
+                local += 1
         remote = len(moved) - local
         if remote:
             penalty = self.costs.numa_remote_penalty_us * remote
@@ -565,19 +574,21 @@ class Kernel:
         cost_us: float,
     ) -> list[PageFrame]:
         # unbound segments (the common fault path) skip the binding walk
-        # and take its range/grow checks inline
+        # and take its range/grow checks inline; ``check_page_range`` runs
+        # only to raise its error for a range the inline test rejects
         if src.bindings:
             src, src_page = self._through_bindings(src, src_page, n_pages)
-        else:
+        elif n_pages <= 0 or src_page < 0 or src_page + n_pages > src.n_pages:
             src.check_page_range(src_page, n_pages)
         if dst.bindings:
             dst, dst_page = self._through_bindings(
                 dst, dst_page, n_pages, allow_grow=True
             )
         else:
-            if dst.auto_grow:
-                dst.ensure_size(dst_page + n_pages)
-            dst.check_page_range(dst_page, n_pages)
+            if dst.auto_grow and dst_page + n_pages > dst.n_pages:
+                dst.n_pages = dst_page + n_pages
+            if n_pages <= 0 or dst_page < 0 or dst_page + n_pages > dst.n_pages:
+                dst.check_page_range(dst_page, n_pages)
         self.meter.charge("migrate_pages", cost_us)
         stats = self.stats
         stats.migrate_calls += 1
@@ -969,36 +980,38 @@ class Kernel:
     def _fault_from_resolution(
         self, space: Segment, vpn: int, write: bool, res: ResolvedPage
     ) -> PageFault | None:
-        """Classify a resolution outcome; ``None`` means access is fine."""
+        """Classify a resolution outcome; ``None`` means access is fine.
+
+        A protection shortfall becomes a fault only when the frame's own
+        flags deny the access, since those are what a manager can change.
+        When the frame allows it but a segment protection or binding mask
+        on the resolution chain does not, no manager can lift the mask:
+        the access raises :class:`ProtectionError` undelivered.
+        """
         if res.needs_cow:
             return PageFault(
-                res.owner.seg_id,
-                res.page,
-                FaultKind.COPY_ON_WRITE,
-                write=True,
-                space_id=space.seg_id,
-                vaddr=vpn * space.page_size,
+                res.owner.seg_id, res.page, COPY_ON_WRITE, True,
+                space.seg_id, vpn * space.page_size,
             )
-        if res.frame is None:
+        frame = res.frame
+        if frame is None:
             return PageFault(
-                res.owner.seg_id,
-                res.page,
-                FaultKind.MISSING_PAGE,
-                write=write,
-                space_id=space.seg_id,
-                vaddr=vpn * space.page_size,
+                res.owner.seg_id, res.page, MISSING_PAGE, write,
+                space.seg_id, vpn * space.page_size,
             )
         needed_i = WRITE_I if write else READ_I
-        if not (int(res.prot) & needed_i):
-            return PageFault(
-                res.owner.seg_id,
-                res.page,
-                FaultKind.PROTECTION,
-                write=write,
-                space_id=space.seg_id,
-                vaddr=vpn * space.page_size,
+        if res.prot_i & needed_i:
+            return None
+        if frame.flags & needed_i:
+            self._failover_pending = False
+            raise ProtectionError(
+                f"{'write' if write else 'read'} of page {vpn} in "
+                f"{space.name} denied by a segment or binding protection"
             )
-        return None
+        return PageFault(
+            res.owner.seg_id, res.page, PROTECTION, write,
+            space.seg_id, vpn * space.page_size,
+        )
 
     def _install_and_touch(
         self,
@@ -1025,7 +1038,7 @@ class Kernel:
             frame.flags |= REFERENCED_I
         if not post_fault:
             self.meter.charge("map_update", self.costs.map_update)
-        prot_i = int(res.prot)
+        prot_i = res.prot_i
         writable = bool(prot_i & WRITE_I) and bool(frame.flags & DIRTY_I)
         entry = Translation(
             space.seg_id,
@@ -1073,14 +1086,16 @@ class Kernel:
         self.meter.charge("fault_dispatch", self.costs.vpp_fault_dispatch)
         stats = self.stats
         stats.faults += 1
-        kind = fault.kind.name
+        # ``_name_`` is the member's plain attribute; ``.name`` is an
+        # enum property, a Python-level call on every fault
+        kind = fault.kind._name_
         stats.faults_by_kind[kind] = stats.faults_by_kind.get(kind, 0) + 1
         manager_calls = stats.manager_calls
         manager_calls[manager.name] = manager_calls.get(manager.name, 0) + 1
         if self.trace is not None or self.tracer.enabled:
             self._step(
                 "kernel",
-                f"forward {fault.kind.name} fault (segment "
+                f"forward {kind} fault (segment "
                 f"{segment.name}, page {fault.page}) to manager "
                 f"{manager.name}",
                 self.costs.vpp_fault_dispatch,
@@ -1088,26 +1103,23 @@ class Kernel:
         # The fallback manager is exempt from injection: the paper's
         # survival story assumes the default manager itself is sound.
         outcome = None
+        deliveries = 1
         if self.injector.enabled and manager is not self.fallback_manager:
             outcome = self.injector.manager_invocation(manager.name)
-        if outcome is ManagerFailureMode.HANG:
-            self._manager_unresponsive(segment, manager, fault, "timed out")
-            return self.dispatch_fault(fault)
-        deliveries = 1
-        if (
-            self.injector.enabled
-            and outcome is None
-            and manager.invocation is InvocationMode.SEPARATE_PROCESS
-            and manager is not self.fallback_manager
-        ):
-            deliveries = self._ipc_deliveries(segment, manager, fault)
-            if deliveries == 0:
-                # undeliverable: failover already happened; redeliver there
+            if outcome is _HANG:
+                self._manager_unresponsive(
+                    segment, manager, fault, "timed out"
+                )
                 return self.dispatch_fault(fault)
+            if outcome is None and manager.invocation is SEPARATE_PROCESS:
+                deliveries = self._ipc_deliveries(segment, manager, fault)
+                if deliveries == 0:
+                    # undeliverable: failover already happened; redeliver
+                    return self.dispatch_fault(fault)
         try:
-            if outcome is ManagerFailureMode.CRASH:
+            if outcome is _CRASH:
                 # control transfers to the manager, which then dies
-                if manager.invocation is InvocationMode.SEPARATE_PROCESS:
+                if manager.invocation is SEPARATE_PROCESS:
                     ipc_cost = (
                         self.costs.ipc_message + self.costs.context_switch
                     )
@@ -1123,7 +1135,7 @@ class Kernel:
                 raise ManagerCrashError(
                     f"manager {manager.name} died on fault delivery"
                 )
-            byzantine = outcome is ManagerFailureMode.BYZANTINE
+            byzantine = outcome is _BYZANTINE
             for _ in range(deliveries):
                 self._invoke_manager(manager, fault, byzantine=byzantine)
         except ManagerCrashError as crash:
@@ -1152,7 +1164,7 @@ class Kernel:
         self, manager: SegmentManager, fault: PageFault, byzantine: bool
     ) -> None:
         """One delivery: control transfer, handler, resumption charges."""
-        separate = manager.invocation is InvocationMode.SEPARATE_PROCESS
+        separate = manager.invocation is SEPARATE_PROCESS
         if separate:
             ipc_cost = self._ipc_round_cost
             self.meter.charge("fault_ipc", ipc_cost)
@@ -1199,9 +1211,9 @@ class Kernel:
             self._step(
                 "manager",
                 "reply to faulting process; application resumes",
-                self.costs.vpp_resume_direct
-                if manager.invocation is InvocationMode.IN_PROCESS
-                else self.costs.vpp_kernel_resume,
+                self.costs.vpp_kernel_resume
+                if separate
+                else self.costs.vpp_resume_direct,
             )
 
     # ------------------------------------------------------------------

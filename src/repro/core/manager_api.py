@@ -43,6 +43,11 @@ class InvocationMode(Enum):
     SEPARATE_PROCESS = auto()
 
 
+# The kernel tests this member by identity on every fault delivery; a
+# global load is cheaper than an attribute lookup on an Enum class.
+SEPARATE_PROCESS = InvocationMode.SEPARATE_PROCESS
+
+
 class SegmentManager(ABC):
     """Base class for all segment managers."""
 

@@ -54,10 +54,16 @@ class ResolvedPage:
     owner: "Segment"          # segment that owns / should own the frame
     page: int                 # page index within ``owner``
     frame: "PageFrame | None"  # present frame, if any
-    prot: PageFlags           # effective protection along the chain
+    prot_i: int               # effective protection bits along the chain
     needs_cow: bool = False   # a write must first privatize this page
     cow_source_frame: "PageFrame | None" = None   # data to copy on COW
     depth: int = 0            # binding/COW hops traversed
+
+    @property
+    def prot(self) -> PageFlags:
+        """The effective protection as a flag set (the kernel reads the
+        int ``prot_i``; this view is for callers outside the fault path)."""
+        return PageFlags(self.prot_i)
 
 
 class Segment:
@@ -201,19 +207,10 @@ class Segment:
                 frame = segment.pages.get(page)
                 if frame is not None:
                     return ResolvedPage(
-                        owner=segment,
-                        page=page,
-                        frame=frame,
-                        prot=PageFlags(prot_i & frame.flags),
+                        segment, page, frame, prot_i & frame.flags,
                         depth=depth,
                     )
-                return ResolvedPage(
-                    owner=segment,
-                    page=page,
-                    frame=None,
-                    prot=PageFlags(prot_i),
-                    depth=depth,
-                )
+                return ResolvedPage(segment, page, None, prot_i, depth=depth)
             if seen is None:
                 seen = set()
             key = (segment.seg_id, page)
@@ -234,11 +231,7 @@ class Segment:
             frame = segment.pages.get(page)
             if frame is not None:
                 return ResolvedPage(
-                    owner=segment,
-                    page=page,
-                    frame=frame,
-                    prot=PageFlags(prot_i & frame.flags),
-                    depth=depth,
+                    segment, page, frame, prot_i & frame.flags, depth=depth
                 )
             if segment.cow_source is not None:
                 source = segment.cow_source
@@ -251,7 +244,7 @@ class Segment:
                             owner=segment,
                             page=page,
                             frame=None,
-                            prot=PageFlags(prot_i),
+                            prot_i=prot_i,
                             needs_cow=True,
                             cow_source_frame=source_res.frame,
                             depth=depth,
@@ -262,10 +255,4 @@ class Segment:
                     segment = source
                     depth += 1
                     continue
-            return ResolvedPage(
-                owner=segment,
-                page=page,
-                frame=None,
-                prot=PageFlags(prot_i),
-                depth=depth,
-            )
+            return ResolvedPage(segment, page, None, prot_i, depth=depth)

@@ -55,12 +55,10 @@ class GlobalHashPageTable:
         self._overflow: dict[tuple[int, int], Translation] = {}
         self.stats = PageTableStats()
 
-    def _index(self, space_id: int, vpn: int) -> int:
-        return hash((space_id, vpn)) % self.n_entries
-
     def insert(self, entry: Translation) -> None:
         """Install a translation, spilling a colliding entry to overflow."""
-        idx = self._index(entry.space_id, entry.vpn)
+        # the direct-mapped slot, hashed inline on every access
+        idx = hash((entry.space_id, entry.vpn)) % self.n_entries
         occupant = self._table[idx]
         if occupant is not None and (
             occupant.space_id != entry.space_id or occupant.vpn != entry.vpn
@@ -77,8 +75,7 @@ class GlobalHashPageTable:
     def lookup(self, space_id: int, vpn: int) -> Translation | None:
         """Look up a translation; ``None`` is a soft miss."""
         self.stats.lookups += 1
-        idx = self._index(space_id, vpn)
-        entry = self._table[idx]
+        entry = self._table[hash((space_id, vpn)) % self.n_entries]
         if entry is not None and entry.space_id == space_id and entry.vpn == vpn:
             self.stats.hits += 1
             return entry
@@ -90,7 +87,7 @@ class GlobalHashPageTable:
 
     def remove(self, space_id: int, vpn: int) -> bool:
         """Drop a translation if present; returns whether one was dropped."""
-        idx = self._index(space_id, vpn)
+        idx = hash((space_id, vpn)) % self.n_entries
         entry = self._table[idx]
         removed = False
         if entry is not None and entry.space_id == space_id and entry.vpn == vpn:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from repro.contracts import NULL_JOURNAL
 from repro.core.api import FrameDemand, FrameGrant
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import MISSING_PAGE, PROTECTION, PageFault
 from repro.core.flags import DIRTY_I, PINNED_I, REFERENCED_I, RW_I
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.core.segment import Segment
@@ -441,14 +441,14 @@ class GenericSegmentManager(SegmentManager):
     def handle_fault(self, fault: PageFault) -> None:
         self.faults_handled += 1
         segment = self.kernel.segment(fault.segment_id)
-        if fault.kind is FaultKind.PROTECTION:
+        if fault.kind is PROTECTION:
             self.on_protection_fault(segment, fault)
             return
         if self._duplicate_delivery(segment, fault):
             return
         key = (fault.segment_id, fault.page)
         stale_slot = self._stale_slot.get(key)
-        if stale_slot is not None and fault.kind is FaultKind.MISSING_PAGE:
+        if stale_slot is not None and fault.kind is MISSING_PAGE:
             # The paper's fast path: the frame reclaimed from this page is
             # still in the free segment with its data; migrate it back.
             if self.kernel.tracer.enabled:
@@ -478,7 +478,7 @@ class GenericSegmentManager(SegmentManager):
             return
         slot = self.allocate_slot()
         frame = self.free_segment.pages[slot]
-        if fault.kind is FaultKind.MISSING_PAGE:
+        if fault.kind is MISSING_PAGE:
             if self.kernel.tracer.enabled:
                 with self.kernel.tracer.span(
                     "manager", "fill_page", segment=segment.name,

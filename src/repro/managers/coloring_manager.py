@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import FrameGrant
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import MISSING_PAGE, PageFault
 from repro.core.flags import REFERENCED_I, RW_I
 from repro.core.segment import Segment
 from repro.managers.base import GenericSegmentManager
@@ -89,7 +89,7 @@ class ColoringSegmentManager(GenericSegmentManager):
     # ------------------------------------------------------------------
 
     def handle_fault(self, fault: PageFault) -> None:
-        if fault.kind is not FaultKind.MISSING_PAGE:
+        if fault.kind is not MISSING_PAGE:
             super().handle_fault(fault)
             return
         self.faults_handled += 1

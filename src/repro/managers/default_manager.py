@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import MISSING_PAGE, PROTECTION, PageFault
 from repro.core.flags import DIRTY_I, REFERENCED_I, RW_I
 from repro.core.manager_api import InvocationMode
 from repro.core.segment import Segment
@@ -70,13 +70,13 @@ class DefaultSegmentManager(GenericSegmentManager):
 
     def handle_fault(self, fault: PageFault) -> None:
         segment = self.kernel.segment(fault.segment_id)
-        if fault.kind is not FaultKind.PROTECTION and self._duplicate_delivery(
+        if fault.kind is not PROTECTION and self._duplicate_delivery(
             segment, fault
         ):
             self.faults_handled += 1
             return
         if (
-            fault.kind is FaultKind.MISSING_PAGE
+            fault.kind is MISSING_PAGE
             and fault.write
             and self.file_server.is_file(segment)
             and (fault.segment_id, fault.page) not in self._stale_slot

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.api import FrameGrant
-from repro.core.faults import FaultKind, PageFault
+from repro.core.faults import MISSING_PAGE, PageFault
 from repro.core.flags import REFERENCED_I, RW_I
 from repro.core.segment import Segment
 from repro.errors import ManagerError
@@ -127,7 +127,7 @@ class PlacementSegmentManager(GenericSegmentManager):
         return segment
 
     def handle_fault(self, fault: PageFault) -> None:
-        if fault.kind is not FaultKind.MISSING_PAGE:
+        if fault.kind is not MISSING_PAGE:
             super().handle_fault(fault)
             return
         home = self.segment_home.get(fault.segment_id)

@@ -11,7 +11,7 @@ from repro.core.address_space import (
 )
 from repro.core.flags import PageFlags
 from repro.core.kernel import Kernel
-from repro.errors import SegmentError, UnresolvedFaultError
+from repro.errors import ProtectionError, SegmentError
 from repro.managers.base import GenericSegmentManager
 from repro.spcm.spcm import SystemPageCacheManager
 
@@ -90,8 +90,11 @@ class TestFigure1:
         kernel, manager = world
         vas = build_figure1_layout(kernel, manager)
         vas.read(vas.addr("code", 0))
-        with pytest.raises(UnresolvedFaultError):
+        faults = kernel.stats.faults
+        with pytest.raises(ProtectionError):
             vas.write(vas.addr("code", 0))
+        # the read-only binding mask is final: nothing reaches the manager
+        assert kernel.stats.faults == faults
 
     def test_guard_pages_fault_without_manager(self, world):
         kernel, manager = world

@@ -2,25 +2,47 @@
 
 from __future__ import annotations
 
+import inspect
+
+import pytest
+
 from repro.core.faults import FaultKind, FaultTrace, PageFault, TraceStep
 
 
 class TestPageFault:
     def test_describe(self):
-        fault = PageFault(3, 7, FaultKind.MISSING_PAGE, write=True)
-        text = fault.describe()
-        assert "write" in text and "page 7" in text and "segment 3" in text
-        fault = PageFault(3, 7, FaultKind.PROTECTION, write=False)
-        assert "read" in fault.describe()
+        assert PageFault(3, 7, FaultKind.MISSING_PAGE, True).describe() == (
+            "MISSING_PAGE fault: write of page 7 in segment 3"
+        )
+        assert PageFault(3, 7, FaultKind.PROTECTION, False).describe() == (
+            "PROTECTION fault: read of page 7 in segment 3"
+        )
+        assert PageFault(1, 2, FaultKind.COPY_ON_WRITE, True).describe() == (
+            "COPY_ON_WRITE fault: write of page 2 in segment 1"
+        )
 
     def test_frozen(self):
         fault = PageFault(1, 2, FaultKind.COPY_ON_WRITE, write=True)
-        try:
-            fault.page = 3  # type: ignore[misc]
-            raised = False
-        except AttributeError:
-            raised = True
-        assert raised
+        for field in ("segment_id", "page", "kind", "write", "space_id",
+                      "vaddr"):
+            with pytest.raises(AttributeError):
+                setattr(fault, field, 3)
+
+    def test_fields_and_defaults(self):
+        params = inspect.signature(PageFault).parameters
+        assert [(p.name, p.default) for p in params.values()] == [
+            ("segment_id", inspect.Parameter.empty),
+            ("page", inspect.Parameter.empty),
+            ("kind", inspect.Parameter.empty),
+            ("write", inspect.Parameter.empty),
+            ("space_id", None),
+            ("vaddr", None),
+        ]
+        fault = PageFault(1, 2, FaultKind.MISSING_PAGE, False, 3, 8192)
+        assert (fault.segment_id, fault.page, fault.kind, fault.write,
+                fault.space_id, fault.vaddr) == (
+            1, 2, FaultKind.MISSING_PAGE, False, 3, 8192
+        )
 
 
 class TestFaultTrace:

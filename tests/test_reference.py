@@ -11,6 +11,7 @@ from repro.core.kernel import Kernel
 from repro.core.manager_api import InvocationMode, SegmentManager
 from repro.errors import (
     NoManagerError,
+    ProtectionError,
     SegmentError,
     UnresolvedFaultError,
 )
@@ -168,10 +169,72 @@ class TestProtectionFaults:
         vas = kernel.create_segment(8)
         vas.bind(0, 8, data, 0, prot_mask=PageFlags.READ)
         kernel.reference(vas, 0, write=False)  # fills via manager
-        with pytest.raises(UnresolvedFaultError):
-            # the manager restores page flags but the binding mask still
-            # forbids writes, so the fault persists
+        faults = kernel.stats.faults
+        with pytest.raises(ProtectionError):
+            # the frame allows writes but the binding mask does not, and
+            # no manager can lift a mask: nothing is dispatched
             kernel.reference(vas, 0, write=True)
+        assert kernel.stats.faults == faults
+        assert kernel.stats.manager_failovers == 0
+
+
+class TestMaskDeniedAccess:
+    """An access the frame allows but a segment or binding mask denies
+    raises ProtectionError without a dispatch or a failover."""
+
+    @pytest.fixture
+    def healthy(self, system):
+        kernel = system.kernel
+        manager = GenericSegmentManager(
+            kernel, system.spcm, "healthy", initial_frames=16
+        )
+        assert kernel.fallback_manager is system.default_manager
+        return kernel, manager
+
+    def test_read_only_binding_over_healthy_manager(self, healthy):
+        kernel, manager = healthy
+        data = kernel.create_segment(8, name="data", manager=manager)
+        vas = kernel.create_segment(8, name="vas")
+        vas.bind(0, 8, data, 0, prot_mask=PageFlags.READ)
+        kernel.reference(vas, 0, write=False)
+        faults = kernel.stats.faults
+        with pytest.raises(ProtectionError, match="denied"):
+            kernel.reference(vas, 0, write=True)
+        assert kernel.stats.faults == faults
+        assert kernel.stats.manager_failovers == 0
+        assert not manager.failed
+        assert data.manager is manager
+
+    def test_read_only_segment(self, healthy):
+        kernel, manager = healthy
+        seg = kernel.create_segment(8, name="ro", manager=manager)
+        kernel.reference(seg, 0, write=False)
+        seg.prot = PageFlags.READ
+        faults = kernel.stats.faults
+        with pytest.raises(ProtectionError, match="denied"):
+            kernel.reference(seg, 0, write=True)
+        assert kernel.stats.faults == faults
+        assert kernel.stats.manager_failovers == 0
+        assert seg.manager is manager
+        assert kernel.reference(seg, 0, write=False) is seg.pages[0]
+
+    def test_frame_protection_still_faults_first(self, healthy):
+        """A frame the manager has protected is the manager's to restore:
+        one PROTECTION delivery, then the mask denies the write."""
+        kernel, manager = healthy
+        data = kernel.create_segment(8, name="data", manager=manager)
+        vas = kernel.create_segment(8, name="vas")
+        vas.bind(0, 8, data, 0, prot_mask=PageFlags.READ)
+        kernel.reference(vas, 0, write=False)
+        kernel.modify_page_flags(
+            ModifyPageFlagsRequest(data, 0, clear_flags=PageFlags.WRITE)
+        )
+        faults = kernel.stats.faults
+        with pytest.raises(ProtectionError):
+            kernel.reference(vas, 0, write=True)
+        assert kernel.stats.faults == faults + 1
+        assert kernel.stats.faults_by_kind["PROTECTION"] == 1
+        assert kernel.stats.manager_failovers == 0
 
 
 class TestMigrationShootdown:

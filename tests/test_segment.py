@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.flags import PageFlags
-from repro.core.segment import Segment
+from repro.core.segment import ResolvedPage, Segment
 from repro.errors import BindingError, SegmentError
 
 
@@ -196,3 +196,63 @@ class TestCOWResolution:
         assert not res.needs_cow
         assert res.frame is None
         assert res.owner is shadow
+
+
+def _resolutions(memory):
+    """(case, resolution, the protection the flag-set view must show)."""
+    R, RW = PageFlags.READ, PageFlags.READ | PageFlags.WRITE
+    frames = iter(memory.frames())
+
+    def frame(flags):
+        f = next(frames)
+        f.flags = int(flags)
+        return f
+
+    flat = seg(0, 8)
+    flat.pages[0] = frame(RW | PageFlags.REFERENCED | PageFlags.DIRTY)
+    flat.pages[1] = frame(PageFlags.READ)
+    read_only = seg(1, 8, prot=R)
+    read_only.pages[0] = frame(RW)
+    data = seg(2, 8)
+    data.pages[0] = frame(RW)
+    vas = seg(3, 8)
+    vas.bind(0, 8, data, 0, prot_mask=R)
+    source = seg(4, 8)
+    source.pages[2] = frame(RW)
+    shadow = Segment(5, 8, 4096, cow_source=source)
+    return [
+        ("flat", flat.resolve(0), RW),
+        ("flat-frame-read-only", flat.resolve(1), R),
+        ("flat-missing", flat.resolve(5, for_write=True), RW),
+        ("read-only-segment", read_only.resolve(0, for_write=True), R),
+        ("bound-masked", vas.resolve(0, for_write=True), R),
+        ("bound-masked-missing", vas.resolve(3), R),
+        ("cow-read", shadow.resolve(2), R),
+        ("cow-write", shadow.resolve(2, for_write=True), RW),
+    ]
+
+
+class TestResolvedPageView:
+    """The kernel reads the int ``prot_i``; ``prot`` stays the public
+    flag-set view, with the values flag-set resolution always gave."""
+
+    def test_prot_is_the_flag_set_of_prot_i(self, memory):
+        for case, res, expected in _resolutions(memory):
+            assert isinstance(res.prot_i, int), case
+            assert type(res.prot) is PageFlags, case
+            assert res.prot == PageFlags(res.prot_i), case
+            assert res.prot == expected, case
+
+    def test_cases_resolve_the_way_they_are_named(self, memory):
+        by_case = {case: res for case, res, _ in _resolutions(memory)}
+        assert by_case["flat-missing"].frame is None
+        assert by_case["bound-masked"].depth == 1
+        assert by_case["cow-read"].depth == 1
+        assert by_case["cow-read"].frame is not None
+        assert by_case["cow-write"].needs_cow
+        assert by_case["cow-write"].cow_source_frame is not None
+
+    def test_prot_view_is_read_only(self, memory):
+        res: ResolvedPage = _resolutions(memory)[0][1]
+        with pytest.raises(AttributeError):
+            res.prot = PageFlags.READ  # type: ignore[misc]

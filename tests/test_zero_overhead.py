@@ -8,18 +8,29 @@ site is guarded by an ``enabled`` flag.  These tests pin that contract
 with tracemalloc so an accidental allocation on the hot path (a span
 record built before the ``enabled`` check, an f-string in a guard) fails
 CI rather than quietly taxing every benchmark.
+
+The same run-time contract holds for flag and enum objects: the fault
+path carries protections as ints and compares members by identity, so a
+profiled reclaim-heavy run must make no Python-level call into
+``enum.py``.
 """
 
 from __future__ import annotations
 
+import enum
+import sys
 import tracemalloc
+from collections import Counter
 
 import repro.chaos.injector as injector_mod
 import repro.contracts as contracts_mod
 import repro.obs.records as records_mod
 import repro.obs.trace as trace_mod
 from repro.contracts import NULL_INJECTOR, NULL_JOURNAL
+from repro.core.flags import PageFlags
+from repro.managers.base import GenericSegmentManager
 from repro.obs.trace import NULL_TRACER
+from repro.verify.workloads import REGISTRY
 from repro.verify.oracle import build_vpp_system, drive_vpp
 from repro.verify.schedule import figure2_schedule
 
@@ -86,3 +97,56 @@ class TestFaultPathAllocations:
             assert _blocks_allocated_in(snapshot, path) == 0, (
                 f"null-dispatch fault path allocated blocks in {path}"
             )
+
+
+class _NoCheck:
+    """Stands in for the invariant checker while the drive is profiled
+    (the checker reads flag sets on purpose; the fault path must not)."""
+
+    def check_all(self) -> None:
+        pass
+
+
+def _enum_calls(fn) -> Counter:
+    """Python-level calls into ``enum.py`` while ``fn()`` runs, by
+    (function, calling file:function)."""
+    calls: Counter = Counter()
+    enum_file = enum.__file__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum_file:
+            caller = frame.f_back.f_code
+            calls[(frame.f_code.co_name,
+                   f"{caller.co_filename}:{caller.co_name}")] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestFaultPathEnumFree:
+    """The trap -> resolve -> dispatch -> MigratePages -> install loop
+    runs on ints and module-level members: no ``PageFlags(...)``
+    construction, no ``.name`` property read, no enum operator."""
+
+    def test_profiler_sees_enum_calls(self):
+        """Control: the probe does count a flag-set construction."""
+        calls = _enum_calls(lambda: PageFlags(3))
+        assert sum(calls.values()) > 0
+
+    def test_reclaim_heavy_serving_calls_no_enum_code(self):
+        system, drive = REGISTRY["serve-thrash"].boot()
+        kernel = system.kernel
+        faults = kernel.stats.faults
+        calls = _enum_calls(lambda: drive(_NoCheck()))
+        managers = {
+            seg.manager for seg in kernel.segments()
+            if isinstance(seg.manager, GenericSegmentManager)
+        }
+        # the drive really faulted and the tenants really reclaimed
+        assert kernel.stats.faults - faults > 50
+        assert sum(m.pages_reclaimed for m in managers) > 0
+        assert not calls, f"enum.py calls on the fault path: {dict(calls)}"
